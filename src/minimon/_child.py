@@ -12,9 +12,10 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
-from .pipeline import Pipeline, WriterKind
+from .pipeline import Pipeline, PipelineReport, WriterKind
 from .probes import ProbeKind
 from .runner import (
     SAMPLES_CSV_HEADER,
@@ -53,15 +54,8 @@ def run_child(child_config: dict) -> None:
         samples[i] = clock() - t0 - busy_ns
 
     chain.flush()
-    counters = {"enqueued": 0, "written": 0, "overwritten": 0, "dropped": 0}
-    if pipeline is not None:
-        report = pipeline.shutdown()
-        counters = {
-            "enqueued": report.enqueued,
-            "written": report.written,
-            "overwritten": report.overwritten,
-            "dropped": report.dropped,
-        }
+    report = pipeline.shutdown() if pipeline is not None else PipelineReport()
+    counters = asdict(report)
 
     # The checksum must be consumed so the call chain cannot be elided.
     if checksum == 0:

@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -73,17 +74,8 @@ def load_suite(path: str | None) -> dict:
 
 
 def _apply_paper_scale(configs):
-    scaled = []
-    for config in configs:
-        scaled.append(runner.BenchmarkConfig(
-            config_id=config.config_id,
-            pipeline=config.pipeline,
-            workload=config.workload,
-            iterations=runner.PAPER_SCALE_ITERATIONS,
-            runs=runner.PAPER_SCALE_RUNS,
-            warmup_fraction=config.warmup_fraction,
-        ))
-    return scaled
+    return [replace(config, iterations=runner.PAPER_SCALE_ITERATIONS,
+                    runs=runner.PAPER_SCALE_RUNS) for config in configs]
 
 
 def _resolve_out(args_out: str | None, suite: dict) -> Path:
@@ -161,19 +153,10 @@ def cmd_sweep(args) -> int:
     out_dir = _resolve_out(args.out, suite)
     out_dir.mkdir(parents=True, exist_ok=True)
     for config in configs:
-        for depth in depths:
-            print(f"sweep: {config.config_id} at depth {depth} ...", flush=True)
-            derived = runner.BenchmarkConfig(
-                config_id=config.config_id,
-                pipeline=config.pipeline,
-                workload=runner.WorkloadParams(depth=depth,
-                                               busy_ns=config.workload.busy_ns),
-                iterations=config.iterations,
-                runs=config.runs,
-                warmup_fraction=config.warmup_fraction,
-            )
-            runner.run_config(derived, out_dir, keep_monitoring_log=args.keep_logs,
-                              depth_key=depth)
+        print(f"sweeping {config.config_id} "
+              f"(n={config.iterations}, runs={config.runs}, "
+              f"depths={','.join(map(str, depths))}) ...", flush=True)
+        runner.sweep_depths([config], depths, out_dir, keep_monitoring_log=args.keep_logs)
     print(f"sweep results written to {out_dir}")
     return 0
 

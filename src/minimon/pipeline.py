@@ -98,10 +98,18 @@ class Pipeline:
         file = self._file
         written = 0
         unflushed = 0
-        while not self._stop.is_set():
-            self._gate.wait()
-            record = queue.take(timeout=_TAKE_TIMEOUT)
+        while True:
+            # Event.wait locks even when set; once per record, that keeps runs
+            # in the slow producer/writer hand-off far longer. Reading does not.
+            if not self._gate.is_set():
+                self._gate.wait()
+            # Producers are closed before stop is set, so an empty take
+            # that started after stop was seen means the queue is drained.
+            stopping = self._stop.is_set()
+            record = queue.take(timeout=0 if stopping else _TAKE_TIMEOUT)
             if record is None:
+                if stopping:
+                    break
                 continue
             if file is not None:
                 file.write(serialize(record))
@@ -110,16 +118,6 @@ class Pipeline:
                 if unflushed >= FLUSH_EVERY:
                     file.flush()
                     unflushed = 0
-            written += 1
-        # Producers are closed before stop is set; drain what remains.
-        self._gate.wait()
-        while True:
-            record = queue.take()
-            if record is None:
-                break
-            if file is not None:
-                file.write(serialize(record))
-                file.write("\n")
             written += 1
         self._written = written
 

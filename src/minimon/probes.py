@@ -69,16 +69,20 @@ class AggregationState:
         self.counter = 0
         self.sum = 0
 
+    def close_window(self) -> AggregatedRecord:
+        """Record of the window so far; starts a new, empty window."""
+        record = AggregatedRecord(self.signature, self.counter, self.sum)
+        self.counter = 0
+        self.sum = 0
+        return record
+
 
 def aggregate_duration(state: AggregationState, duration: int) -> Optional[AggregatedRecord]:
     """Fold one duration into the window; returns a record when it fills."""
     state.sum += duration
     state.counter += 1
     if state.counter == state.window:
-        record = AggregatedRecord(state.signature, state.counter, state.sum)
-        state.counter = 0
-        state.sum = 0
-        return record
+        return state.close_window()
     return None
 
 
@@ -159,9 +163,7 @@ class AggregatingProbe:
         emitted = 0
         for state in self._states().values():
             if state.counter > 0:
-                self._emit(AggregatedRecord(state.signature, state.counter, state.sum))
-                state.counter = 0
-                state.sum = 0
+                self._emit(state.close_window())
                 emitted += 1
         return emitted
 

@@ -1,8 +1,9 @@
 """Bounded FIFO record queues: blocking linked queue vs. synchronized ring.
 
 ``BlockingLinkedQueue`` blocks the producer when full. ``SyncRingQueue``
-is a fixed-slot ring buffer that never blocks the producer: when full,
-the newest element overwrites the oldest (counted in ``overwritten``).
+is a ``deque(maxlen=capacity)`` ring that never blocks the producer:
+when full, the newest element overwrites the oldest (counted in
+``overwritten``).
 
 Both are safe for concurrent producers and one consumer; all access is
 serialized through one lock per queue.
@@ -33,30 +34,23 @@ class QueueStats:
     capacity: int
 
 
-class BlockingLinkedQueue:
-    """Linked FIFO with a capacity bound; ``put`` blocks while full."""
+class _BoundedQueue:
+    """Deque of at most ``capacity`` records behind one condition.
+
+    Subclasses supply ``put``, which decides what a full queue does. Only
+    the ring appends to a full deque, so only the ring evicts through
+    ``maxlen``.
+    """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._q = collections.deque()
+        self._q = collections.deque(maxlen=capacity)
         self._cond = threading.Condition()
         self._enqueued = 0
         self._dequeued = 0
-
-    def put(self, record) -> None:
-        cond = self._cond
-        with cond:
-            q = self._q
-            while len(q) >= self.capacity:
-                cond.wait()
-            q.append(record)
-            self._enqueued += 1
-            # Signal only on the empty -> nonempty transition; the single
-            # consumer only ever waits on an empty queue.
-            if len(q) == 1:
-                cond.notify()
+        self._overwritten = 0
 
     def take(self, timeout: float = 0.0):
         """Remove and return the oldest record, or None if empty.
@@ -84,67 +78,40 @@ class BlockingLinkedQueue:
 
     def stats(self) -> QueueStats:
         with self._cond:
-            return QueueStats(self._enqueued, self._dequeued, 0, self.capacity)
+            return QueueStats(self._enqueued, self._dequeued, self._overwritten, self.capacity)
 
 
-class SyncRingQueue:
-    """Fixed-slot circular FIFO; a full ring overwrites its oldest slot.
-
-    The slot array is allocated once at construction; put/take only move
-    the start/end indices (modulo capacity) and never allocate.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._slots = [None] * capacity
-        self._start = 0
-        self._count = 0
-        self._cond = threading.Condition()
-        self._enqueued = 0
-        self._dequeued = 0
-        self._overwritten = 0
+class BlockingLinkedQueue(_BoundedQueue):
+    """Linked FIFO with a capacity bound; ``put`` blocks while full."""
 
     def put(self, record) -> None:
         cond = self._cond
         with cond:
-            cap = self.capacity
-            end = (self._start + self._count) % cap
-            self._slots[end] = record
-            if self._count == cap:
-                # Full: the write above clobbered the oldest element.
-                self._start = (self._start + 1) % cap
-                self._overwritten += 1
-            else:
-                self._count += 1
+            q = self._q
+            while len(q) >= self.capacity:
+                cond.wait()
+            q.append(record)
             self._enqueued += 1
-            if self._count == 1:
+            # Signal only on the empty -> nonempty transition; the single
+            # consumer only ever waits on an empty queue.
+            if len(q) == 1:
                 cond.notify()
 
-    def take(self, timeout: float = 0.0):
-        """Remove and return the oldest record, or None if empty."""
+
+class SyncRingQueue(_BoundedQueue):
+    """Circular FIFO; a full ring overwrites its oldest element."""
+
+    def put(self, record) -> None:
         cond = self._cond
         with cond:
-            if self._count == 0 and timeout > 0:
-                cond.wait_for(lambda: self._count > 0, timeout=timeout)
-            if self._count == 0:
-                return None
-            start = self._start
-            record = self._slots[start]
-            self._slots[start] = None
-            self._start = (start + 1) % self.capacity
-            self._count -= 1
-            self._dequeued += 1
-            return record
-
-    def __len__(self) -> int:
-        with self._cond:
-            return self._count
-
-    def stats(self) -> QueueStats:
-        with self._cond:
-            return QueueStats(self._enqueued, self._dequeued, self._overwritten, self.capacity)
+            q = self._q
+            if len(q) == self.capacity:
+                # Full: the append below evicts the oldest element.
+                self._overwritten += 1
+            q.append(record)
+            self._enqueued += 1
+            if len(q) == 1:
+                cond.notify()
 
 
 def make_queue(kind: QueueKind, capacity: int = DEFAULT_CAPACITY):

@@ -25,7 +25,8 @@ import math
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
@@ -114,25 +115,13 @@ def _enum_from_value(enum_cls, value, what: str):
         raise ValueError(f"unknown {what} {value!r}; expected one of {valid}") from None
 
 
+def _enums_as_values(items) -> dict:
+    return {key: value.value if isinstance(value, Enum) else value for key, value in items}
+
+
 def config_to_dict(config: BenchmarkConfig) -> dict:
-    return {
-        "config_id": config.config_id,
-        "pipeline": {
-            "probe": config.pipeline.probe.value,
-            "queue": config.pipeline.queue.value,
-            "queue_capacity": config.pipeline.queue_capacity,
-            "writer": config.pipeline.writer.value,
-            "aggregation_window": config.pipeline.aggregation_window,
-            "output_path": config.pipeline.output_path,
-        },
-        "workload": {
-            "depth": config.workload.depth,
-            "busy_ns": config.workload.busy_ns,
-        },
-        "iterations": config.iterations,
-        "runs": config.runs,
-        "warmup_fraction": config.warmup_fraction,
-    }
+    """JSON-ready config, fields in declaration order, enums as their values."""
+    return asdict(config, dict_factory=_enums_as_values)
 
 
 def config_from_dict(data: dict) -> BenchmarkConfig:
@@ -236,14 +225,7 @@ def sweep_depths(configs: Sequence[BenchmarkConfig], depths: Sequence[int],
     results: dict[tuple[str, int], SampleSet] = {}
     for config in configs:
         for depth in depths:
-            derived = BenchmarkConfig(
-                config_id=config.config_id,
-                pipeline=config.pipeline,
-                workload=WorkloadParams(depth=depth, busy_ns=config.workload.busy_ns),
-                iterations=config.iterations,
-                runs=config.runs,
-                warmup_fraction=config.warmup_fraction,
-            )
+            derived = replace(config, workload=replace(config.workload, depth=depth))
             results[(config.config_id, depth)] = run_config(
                 derived, out_dir, keep_monitoring_log=keep_monitoring_log,
                 depth_key=depth)
@@ -285,6 +267,15 @@ def load_sample_set(result_dir: str | Path) -> tuple[SampleSet, list[dict]]:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         if meta.get("failed"):
             raise BenchmarkError(f"{run_dir}: run is marked failed")
+        counters = meta.get("counters")
+        try:
+            balanced = counters["enqueued"] == counters["written"] + counters["overwritten"]
+        except (KeyError, TypeError):
+            raise BenchmarkError(f"{run_dir}: metadata.json has no pipeline counters") from None
+        if not balanced:
+            raise BenchmarkError(
+                f"{run_dir}: counters do not balance: enqueued {counters['enqueued']} "
+                f"!= written {counters['written']} + overwritten {counters['overwritten']}")
         metadata.append(meta)
         runs.append(_read_samples_csv(run_dir / "samples.csv"))
     first = metadata[0]

@@ -107,45 +107,6 @@ class CallChain:
 
             return method
 
-        if probe_kind is ProbeKind.DIRECT_DURATION:
-            probe = DirectDurationProbe(emit)
-            enter = probe.enter
-            exit_ = probe.exit
-
-            def method(d):
-                tin = enter()
-                try:
-                    if d > 1:
-                        return method(d - 1)
-                    entry = clock()
-                    while clock() - entry < busy_ns:
-                        pass
-                    return entry
-                finally:
-                    exit_(signature, tin)
-
-            return method
-
-        if probe_kind is ProbeKind.DIRECT_AGGREGATING:
-            probe = AggregatingProbe(emit, pipeline.config.aggregation_window)
-            self._agg_probe = probe
-            enter = probe.enter
-            exit_ = probe.exit
-
-            def method(d):
-                tin = enter()
-                try:
-                    if d > 1:
-                        return method(d - 1)
-                    entry = clock()
-                    while clock() - entry < busy_ns:
-                        pass
-                    return entry
-                finally:
-                    exit_(signature, tin)
-
-            return method
-
         if probe_kind is ProbeKind.INTERCEPTOR_FULL:
             # Recursion goes through the interception proxy, so every
             # level pays the full interception cost.
@@ -160,4 +121,27 @@ class CallChain:
             proxied = intercept(raw, signature, emit, self.registry)
             return proxied
 
-        raise ValueError(f"unknown probe kind: {probe_kind!r}")
+        # Duration and aggregating probes share one enter/exit shape.
+        if probe_kind is ProbeKind.DIRECT_DURATION:
+            probe = DirectDurationProbe(emit)
+        elif probe_kind is ProbeKind.DIRECT_AGGREGATING:
+            probe = AggregatingProbe(emit, pipeline.config.aggregation_window)
+            self._agg_probe = probe
+        else:
+            raise ValueError(f"unknown probe kind: {probe_kind!r}")
+        enter = probe.enter
+        exit_ = probe.exit
+
+        def method(d):
+            tin = enter()
+            try:
+                if d > 1:
+                    return method(d - 1)
+                entry = clock()
+                while clock() - entry < busy_ns:
+                    pass
+                return entry
+            finally:
+                exit_(signature, tin)
+
+        return method

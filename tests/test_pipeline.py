@@ -110,6 +110,19 @@ def test_writer_completeness_fifo(tmp_path, capacity):
     assert [deserialize(line) for line in lines] == records
 
 
+def test_paused_full_queue_drains_completely_at_shutdown(tmp_path):
+    capacity = 64
+    pipeline = file_pipeline(tmp_path, capacity=capacity).start()
+    pipeline.pause_writer()
+    records = [DurationRecord("a()", i) for i in range(capacity)]
+    for record in records:
+        pipeline.new_monitoring_record(record)
+    report = pipeline.shutdown()
+    lines = (tmp_path / "m.log").read_text().splitlines()
+    assert report.written == report.enqueued == capacity
+    assert [deserialize(line) for line in lines] == records
+
+
 def test_unwritable_output_path_fails_at_start(tmp_path):
     pipeline = Pipeline(PipelineConfig(
         writer=WriterKind.FILE, output_path=str(tmp_path / "no" / "dir" / "x.log")))

@@ -162,13 +162,11 @@ def test_blocked_producer_resumes_after_take():
     assert [queue.take(), queue.take()] == [2, 3]
 
 
-def test_ring_never_exceeds_capacity_and_reuses_slots():
+def test_ring_never_exceeds_capacity():
     queue = SyncRingQueue(4)
-    slots = queue._slots
     for i in range(100):
         queue.put(i)
         assert len(queue) <= 4
-        assert queue._slots is slots  # fixed array, no reallocation
 
 
 def test_capacity_validation():

@@ -7,6 +7,7 @@ from minimon.probes import ProbeKind
 from minimon.queues import QueueKind
 from minimon.runner import (
     BenchmarkConfig,
+    BenchmarkError,
     SAMPLES_CSV_HEADER,
     config_from_dict,
     config_to_dict,
@@ -109,6 +110,22 @@ def test_load_sample_set_round_trip(tmp_path):
     assert loaded.warmup_fraction == 0.5
     assert loaded.runs == written.runs
     assert len(metadata) == 2
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda meta: meta["counters"].update(written=meta["counters"]["written"] - 1),
+     "do not balance"),
+    (lambda meta: meta.pop("counters"), "no pipeline counters"),
+])
+def test_load_sample_set_rejects_bad_counters(tmp_path, tamper, message):
+    config = tiny_config(probe=ProbeKind.DIRECT_DURATION, iterations=20, runs=2)
+    run_config(config, tmp_path)
+    meta_path = tmp_path / "tiny" / "run_1" / "metadata.json"
+    meta = json.loads(meta_path.read_text())
+    tamper(meta)
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(BenchmarkError, match=f"run_1.*{message}"):
+        load_sample_set(tmp_path / "tiny")
 
 
 def test_kept_samples_drops_warmup_per_run():
