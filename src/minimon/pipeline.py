@@ -14,7 +14,7 @@ from enum import Enum
 
 from .probes import ProbeKind, DEFAULT_AGGREGATION_WINDOW
 from .queues import DEFAULT_CAPACITY, QueueKind, make_queue
-from .records import serialize
+from .records import RecordFormatError, serialize
 
 __all__ = ["WriterKind", "PipelineConfig", "PipelineReport", "Pipeline"]
 
@@ -52,6 +52,7 @@ class PipelineReport:
     written: int = 0
     overwritten: int = 0
     dropped: int = 0
+    failed: int = 0  # taken from the queue but not serializable
 
 
 class Pipeline:
@@ -68,6 +69,7 @@ class Pipeline:
         self._started = False
         self._closed = False
         self._written = 0
+        self._failed = 0
         self._dropped = 0
         self._report: PipelineReport | None = None
 
@@ -97,6 +99,7 @@ class Pipeline:
         queue = self.queue
         file = self._file
         written = 0
+        failed = 0
         unflushed = 0
         while True:
             # Event.wait locks even when set; once per record, that keeps runs
@@ -112,7 +115,14 @@ class Pipeline:
                     break
                 continue
             if file is not None:
-                file.write(serialize(record))
+                # One bad record must not kill the writer: a producer on a
+                # full blocking queue would then wait forever.
+                try:
+                    line = serialize(record)
+                except RecordFormatError:
+                    failed += 1
+                    continue
+                file.write(line)
                 file.write("\n")
                 unflushed += 1
                 if unflushed >= FLUSH_EVERY:
@@ -120,6 +130,7 @@ class Pipeline:
                     unflushed = 0
             written += 1
         self._written = written
+        self._failed = failed
 
     def pause_writer(self) -> None:
         """Suspend the writer thread (test hook)."""
@@ -147,5 +158,6 @@ class Pipeline:
             written=self._written,
             overwritten=stats.overwritten,
             dropped=self._dropped,
+            failed=self._failed,
         )
         return self._report

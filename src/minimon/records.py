@@ -10,10 +10,17 @@ Three record kinds flow through the pipeline:
 
 Records serialize to single semicolon-delimited lines with a leading
 variant tag (``OER``, ``DUR``, ``AGG``). The format round-trips exactly.
+
+The records are slotted but not frozen: every probe's hot path builds one
+per call, and a frozen ``__init__`` sets each field through
+``object.__setattr__``, which costs several times a plain slot store.
+They still compare and hash by value; nothing assigns to a field after
+construction.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -32,7 +39,7 @@ class RecordFormatError(ValueError):
     """Raised for unserializable records or unparseable record lines."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FullRecord:
     signature: str
     tin: int
@@ -51,7 +58,7 @@ class FullRecord:
             raise ValueError(f"negative eoi/ess: {self.eoi}/{self.ess}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DurationRecord:
     signature: str
     duration: int
@@ -61,7 +68,7 @@ class DurationRecord:
             raise ValueError(f"negative duration: {self.duration}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AggregatedRecord:
     signature: str
     count: int
@@ -77,12 +84,16 @@ class AggregatedRecord:
 MonitoringRecord = Union[FullRecord, DurationRecord, AggregatedRecord]
 
 
+# A text field must not hold the delimiter or a C0/DEL control character.
+_UNSAFE = re.compile(r"[;\x00-\x1f\x7f]")
+
+
 def _check_signature(signature: str) -> None:
+    if _UNSAFE.search(signature) is None:
+        return
     if ";" in signature:
         raise RecordFormatError(f"signature contains delimiter: {signature!r}")
-    for ch in signature:
-        if ord(ch) < 0x20 or ord(ch) == 0x7F:
-            raise RecordFormatError(f"signature contains control character: {signature!r}")
+    raise RecordFormatError(f"signature contains control character: {signature!r}")
 
 
 def serialize(record: MonitoringRecord) -> str:

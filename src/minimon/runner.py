@@ -269,23 +269,31 @@ def load_sample_set(result_dir: str | Path) -> tuple[SampleSet, list[dict]]:
             raise BenchmarkError(f"{run_dir}: run is marked failed")
         counters = meta.get("counters")
         try:
-            balanced = counters["enqueued"] == counters["written"] + counters["overwritten"]
+            enqueued, written, overwritten = (
+                counters["enqueued"], counters["written"], counters["overwritten"])
         except (KeyError, TypeError):
             raise BenchmarkError(f"{run_dir}: metadata.json has no pipeline counters") from None
-        if not balanced:
+        # Runs recorded before the writer counted failures have no "failed".
+        failed = counters.get("failed", 0)
+        if enqueued != written + overwritten + failed:
             raise BenchmarkError(
-                f"{run_dir}: counters do not balance: enqueued {counters['enqueued']} "
-                f"!= written {counters['written']} + overwritten {counters['overwritten']}")
+                f"{run_dir}: counters do not balance: enqueued {enqueued} != written "
+                f"{written} + overwritten {overwritten} + failed {failed}")
         metadata.append(meta)
         runs.append(_read_samples_csv(run_dir / "samples.csv"))
-    first = metadata[0]
-    config = first["config"]
-    return SampleSet(
-        config_id=config["config_id"],
-        depth=config["workload"]["depth"],
-        warmup_fraction=config["warmup_fraction"],
-        runs=runs,
-    ), metadata
+    config = metadata[0].get("config")
+    try:
+        sample_set = SampleSet(
+            config_id=config["config_id"],
+            depth=config["workload"]["depth"],
+            warmup_fraction=config["warmup_fraction"],
+            runs=runs,
+        )
+    except (KeyError, TypeError):
+        raise BenchmarkError(
+            f"{run_dirs[0]}: metadata.json has no config block with "
+            "config_id, workload.depth and warmup_fraction") from None
+    return sample_set, metadata
 
 
 def find_result_dirs(out_dir: str | Path) -> list[Path]:

@@ -29,6 +29,8 @@ from minimon.runner import BenchmarkConfig, run_config, sweep_depths
 from minimon.stats import Direction, compare, render_table, summarize, summary_csv
 from minimon.workload import WorkloadParams
 
+pytestmark = pytest.mark.acceptance
+
 GOLDEN = Path(__file__).parent / "golden"
 
 ORDERED_PROBES = [

@@ -108,6 +108,21 @@ def test_report_corrupt_csv_names_file_and_line(tmp_path, capsys):
     assert "samples.csv" in err and ":6" in err
 
 
+def test_report_metadata_without_config_names_run_dir(tmp_path, capsys):
+    suite = tiny_suite(tmp_path, n=1)
+    out = tmp_path / "results"
+    main(["run", "--config", suite, "--out", str(out)])
+    capsys.readouterr()
+    meta_path = out / "dur" / "run_0" / "metadata.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["config"]
+    meta_path.write_text(json.dumps(meta))
+    assert main(["report", "--in", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("minimon: error: ")
+    assert str(meta_path.parent) in err and "config" in err
+
+
 def test_sweep_and_plot(tmp_path, capsys):
     suite = write_suite(tmp_path, [
         {"config_id": "none", "pipeline": {"probe": "none", "writer": "null"},

@@ -1,3 +1,4 @@
+import threading
 import time
 
 import pytest
@@ -135,3 +136,22 @@ def test_config_validation():
         PipelineConfig(queue_capacity=0)
     with pytest.raises(ValueError):
         PipelineConfig(aggregation_window=0)
+
+
+def test_unserializable_record_is_counted_and_writer_survives(tmp_path):
+    pipeline = file_pipeline(tmp_path, capacity=2).start()
+    good = [DurationRecord("a()", i) for i in range(5)]
+
+    def produce():
+        pipeline.new_monitoring_record(DurationRecord("a;b", 1))
+        for record in good:
+            pipeline.new_monitoring_record(record)
+
+    producer = threading.Thread(target=produce, daemon=True)
+    producer.start()
+    producer.join(timeout=2)
+    assert not producer.is_alive(), "producer blocked on the full queue"
+    report = pipeline.shutdown()
+    assert (report.enqueued, report.written, report.failed) == (6, 5, 1)
+    lines = (tmp_path / "m.log").read_text().splitlines()
+    assert [deserialize(line) for line in lines] == good

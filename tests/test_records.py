@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,6 +93,31 @@ def test_signature_with_delimiter_rejected():
 def test_signature_with_control_char_rejected():
     with pytest.raises(RecordFormatError):
         serialize(DurationRecord("a\nb", 1))
+
+
+@pytest.mark.parametrize("field", ["signature", "hostname", "session_id"])
+def test_text_field_rule_per_code_point(field):
+    # Only the delimiter, C0 controls and DEL are refused, in every text field.
+    base = FullRecord("a()", 1, 2, 3, 0, 0, "h", "s")
+    for ch in [*map(chr, range(0x300)), "\U0001F600"]:
+        for value in (ch, f"a{ch}b"):
+            record = replace(base, **{field: value})
+            if ch == ";":
+                with pytest.raises(RecordFormatError, match="delimiter"):
+                    serialize(record)
+            elif ord(ch) < 0x20 or ord(ch) == 0x7F:
+                with pytest.raises(RecordFormatError, match="control character"):
+                    serialize(record)
+            else:
+                assert deserialize(serialize(record)) == record
+
+
+def test_records_compare_and_hash_by_value():
+    record = FullRecord("a.b()", 100, 250, 7, 0, 0, "h", "s")
+    assert len({record, deserialize(serialize(record))}) == 1
+    assert repr(record) == (
+        "FullRecord(signature='a.b()', tin=100, tout=250, trace_id=7, "
+        "eoi=0, ess=0, hostname='h', session_id='s')")
 
 
 def test_invariant_checks():
