@@ -6,39 +6,9 @@ direct aggregating) and two queue implementations (blocking linked,
 synchronized ring). The harness side measures the per-iteration overhead
 of each configuration over a recursive call-chain workload and reports
 comparative statistics.
-"""
 
-from .records import (
-    AggregatedRecord,
-    DurationRecord,
-    FullRecord,
-    MonitoringRecord,
-    RecordFormatError,
-    deserialize,
-    serialize,
-)
-from .trace_registry import TraceRegistry
-from .queues import BlockingLinkedQueue, QueueKind, QueueStats, SyncRingQueue
-from .probes import (
-    AggregatingProbe,
-    AggregationState,
-    DirectDurationProbe,
-    DirectFullProbe,
-    ProbeKind,
-    aggregate_duration,
-    intercept,
-)
-from .pipeline import Pipeline, PipelineConfig, PipelineReport, WriterKind
-from .workload import CallChain, WorkloadParams
-from .runner import (
-    BenchmarkConfig,
-    BenchmarkError,
-    SampleSet,
-    discard_warmup,
-    run_config,
-    sweep_depths,
-)
-from .stats import Comparison, Direction, SummaryStats, compare, render_table, summarize
-from .chart import render_depth_chart
+Import from the submodules: the package root loads nothing, so a monitored
+application does not pay for numpy and the harness.
+"""
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ _MARGIN_LEFT = 70
 _MARGIN_RIGHT = 190
 _MARGIN_TOP = 40
 _MARGIN_BOTTOM = 55
+_TITLE = "Mean overhead vs. call chain depth"
 
 _PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
@@ -30,8 +31,7 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def render_depth_chart(results: dict[tuple[str, int], SummaryStats],
-                       title: str = "Mean overhead vs. call chain depth") -> str:
+def render_depth_chart(results: dict[tuple[str, int], SummaryStats]) -> str:
     """Render sweep results keyed by (config_id, depth) as SVG text."""
     if not results:
         raise ValueError("no results to plot")
@@ -73,7 +73,7 @@ def render_depth_chart(results: dict[tuple[str, int], SummaryStats],
     )
     svg.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
     svg.append(
-        f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" font-size="16">{title}</text>'
+        f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" font-size="16">{_TITLE}</text>'
     )
 
     # Axes

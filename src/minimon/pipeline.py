@@ -2,8 +2,9 @@
 
 The producing thread only ever calls ``new_monitoring_record`` (a queue
 put); all serialization and file I/O happens on the single writer thread.
-``shutdown`` closes the producer side first, drains the queue completely,
-flushes the writer, and returns the final counters.
+The writer blocks until a record arrives or the queue closes. ``shutdown``
+closes the queue, which then counts every put as dropped; the writer
+drains what was enqueued and leaves, and the file is flushed and closed.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ __all__ = ["WriterKind", "PipelineConfig", "PipelineReport", "Pipeline"]
 # Writer flushes its file buffer every this many lines and at shutdown;
 # per-line flushing would dominate the measured overhead.
 FLUSH_EVERY = 8192
-
-_TAKE_TIMEOUT = 0.05
 
 
 class WriterKind(Enum):
@@ -63,23 +62,20 @@ class Pipeline:
         self.queue = None
         self._file = None
         self._writer_thread = None
-        self._stop = threading.Event()
         self._gate = threading.Event()  # cleared by tests to pause the writer
         self._gate.set()
-        self._started = False
-        self._closed = False
         self._written = 0
         self._failed = 0
-        self._dropped = 0
+        self._error: Exception | None = None
         self._report: PipelineReport | None = None
 
     def start(self) -> "Pipeline":
-        if self._started:
+        if self.queue is not None:
             raise RuntimeError("pipeline already started")
-        self._started = True
-        self.queue = make_queue(self.config.queue, self.config.queue_capacity)
+        queue = make_queue(self.config.queue, self.config.queue_capacity)
         if self.config.writer is WriterKind.FILE:
             self._file = open(self.config.output_path, "w", encoding="utf-8")
+        self.queue = queue
         self._writer_thread = threading.Thread(
             target=self._writer_loop, name="minimon-writer", daemon=True
         )
@@ -88,76 +84,76 @@ class Pipeline:
 
     def new_monitoring_record(self, record) -> None:
         """Hand a record to the writer; never does I/O on the caller."""
-        if self._closed:
-            self._dropped += 1
-            return
-        if not self._started:
+        if self.queue is None:
             raise RuntimeError("pipeline not started")
         self.queue.put(record)
 
     def _writer_loop(self) -> None:
         queue = self.queue
         file = self._file
-        written = 0
-        failed = 0
-        unflushed = 0
-        while True:
-            # Event.wait locks even when set; once per record, that keeps runs
-            # in the slow producer/writer hand-off far longer. Reading does not.
-            if not self._gate.is_set():
-                self._gate.wait()
-            # Producers are closed before stop is set, so an empty take
-            # that started after stop was seen means the queue is drained.
-            stopping = self._stop.is_set()
-            record = queue.take(timeout=0 if stopping else _TAKE_TIMEOUT)
-            if record is None:
-                if stopping:
+        written = failed = unflushed = 0
+        try:
+            while True:
+                # Event.wait locks even when set; once per record, that keeps runs
+                # in the slow producer/writer hand-off far longer. Reading does not.
+                if not self._gate.is_set():
+                    self._gate.wait()
+                record = queue.take(wait=True)
+                if record is None:  # closed and drained
                     break
-                continue
-            if file is not None:
-                # One bad record must not kill the writer: a producer on a
-                # full blocking queue would then wait forever.
-                try:
-                    line = serialize(record)
-                except RecordFormatError:
-                    failed += 1
-                    continue
-                file.write(line)
-                file.write("\n")
-                unflushed += 1
-                if unflushed >= FLUSH_EVERY:
-                    file.flush()
-                    unflushed = 0
-            written += 1
-        self._written = written
-        self._failed = failed
+                if file is not None:
+                    # One bad record must not kill the writer.
+                    try:
+                        line = serialize(record)
+                    except RecordFormatError:
+                        failed += 1
+                        continue
+                    file.write(line)
+                    file.write("\n")
+                    unflushed += 1
+                    if unflushed >= FLUSH_EVERY:
+                        file.flush()
+                        unflushed = 0
+                written += 1
+        except Exception as exc:  # re-raised by shutdown
+            self._error = exc
+        finally:
+            # A dead writer must not leave a producer waiting on a full queue.
+            queue.close()
+            self._written = written
+            self._failed = failed
 
     def pause_writer(self) -> None:
-        """Suspend the writer thread (test hook)."""
+        """Suspend the writer before its next take (test hook).
+
+        A take already waiting for a record still returns that one record.
+        """
         self._gate.clear()
 
     def resume_writer(self) -> None:
         self._gate.set()
 
     def shutdown(self) -> PipelineReport:
-        """Close the producer side, drain, stop the writer; idempotent."""
-        if self._report is not None:
-            return self._report
-        if not self._started:
-            raise RuntimeError("pipeline not started")
-        self._closed = True
-        self._stop.set()
-        self._gate.set()
-        self._writer_thread.join()
-        if self._file is not None:
-            self._file.flush()
-            self._file.close()
-        stats = self.queue.stats()
-        self._report = PipelineReport(
-            enqueued=stats.enqueued,
-            written=self._written,
-            overwritten=stats.overwritten,
-            dropped=self._dropped,
-            failed=self._failed,
-        )
+        """Close the queue, let the writer drain it, return the counters.
+
+        Idempotent; raises RuntimeError on every call if the writer or its
+        final flush failed.
+        """
+        if self._report is None:
+            if self.queue is None:
+                raise RuntimeError("pipeline not started")
+            self.queue.close()
+            self._gate.set()
+            self._writer_thread.join()
+            if self._file is not None:
+                try:
+                    self._file.close()
+                except OSError as exc:
+                    self._error = self._error or exc
+            stats = self.queue.stats()
+            self._report = PipelineReport(
+                enqueued=stats.enqueued, written=self._written, overwritten=stats.overwritten,
+                dropped=stats.dropped, failed=self._failed)
+        if self._error is not None:
+            raise RuntimeError(f"monitoring writer failed: {self._error}") from self._error
         return self._report

@@ -6,7 +6,9 @@ when full, the newest element overwrites the oldest (counted in
 ``overwritten``).
 
 Both are safe for concurrent producers and one consumer; all access is
-serialized through one lock per queue.
+serialized through one lock per queue. The queue also owns the close:
+after ``close`` every put is refused and counted in ``dropped``, so each
+put is either enqueued or dropped, decided under that one lock.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ class QueueStats:
     dequeued: int
     overwritten: int
     capacity: int
+    dropped: int  # puts refused because the queue was closed
 
 
 class _BoundedQueue:
@@ -48,20 +51,30 @@ class _BoundedQueue:
         self.capacity = capacity
         self._q = collections.deque(maxlen=capacity)
         self._cond = threading.Condition()
+        self._closed = False
         self._enqueued = 0
         self._dequeued = 0
         self._overwritten = 0
+        self._dropped = 0
 
-    def take(self, timeout: float = 0.0):
+    def close(self) -> None:
+        """Refuse every later put and wake all waiters; idempotent."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+
+    def take(self, wait: bool = False):
         """Remove and return the oldest record, or None if empty.
 
-        With ``timeout > 0`` waits up to that many seconds for a record.
+        With ``wait`` blocks until a record arrives and returns None only
+        once the queue is closed and drained.
         """
         cond = self._cond
         with cond:
             q = self._q
-            if not q and timeout > 0:
-                cond.wait_for(lambda: bool(q), timeout=timeout)
+            if wait:
+                while not q and not self._closed:
+                    cond.wait()
             if not q:
                 return None
             was_full = len(q) >= self.capacity
@@ -78,7 +91,8 @@ class _BoundedQueue:
 
     def stats(self) -> QueueStats:
         with self._cond:
-            return QueueStats(self._enqueued, self._dequeued, self._overwritten, self.capacity)
+            return QueueStats(self._enqueued, self._dequeued, self._overwritten,
+                              self.capacity, self._dropped)
 
 
 class BlockingLinkedQueue(_BoundedQueue):
@@ -88,8 +102,11 @@ class BlockingLinkedQueue(_BoundedQueue):
         cond = self._cond
         with cond:
             q = self._q
-            while len(q) >= self.capacity:
+            while len(q) >= self.capacity and not self._closed:
                 cond.wait()
+            if self._closed:
+                self._dropped += 1
+                return
             q.append(record)
             self._enqueued += 1
             # Signal only on the empty -> nonempty transition; the single
@@ -104,6 +121,9 @@ class SyncRingQueue(_BoundedQueue):
     def put(self, record) -> None:
         cond = self._cond
         with cond:
+            if self._closed:
+                self._dropped += 1
+                return
             q = self._q
             if len(q) == self.capacity:
                 # Full: the append below evicts the oldest element.

@@ -25,7 +25,7 @@ import math
 import subprocess
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -57,6 +57,9 @@ DEFAULT_ITERATIONS = 100_000
 DEFAULT_RUNS = 5
 PAPER_SCALE_ITERATIONS = 2_000_000
 PAPER_SCALE_RUNS = 10
+
+# Consecutive clock-read pairs behind a run's clock resolution estimate.
+CLOCK_PROBES = 2000
 
 
 class BenchmarkError(RuntimeError):
@@ -124,11 +127,21 @@ def config_to_dict(config: BenchmarkConfig) -> dict:
     return asdict(config, dict_factory=_enums_as_values)
 
 
+def _check_keys(data, cls, where: str) -> None:
+    """A misspelt key would silently run with the default: refuse it."""
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+
+
 def config_from_dict(data: dict) -> BenchmarkConfig:
+    _check_keys(data, BenchmarkConfig, "config")
     if "config_id" not in data:
         raise ValueError("benchmark config is missing 'config_id'")
     pipe = data.get("pipeline", {})
     work = data.get("workload", {})
+    _check_keys(pipe, PipelineConfig, "pipeline")
+    _check_keys(work, WorkloadParams, "workload")
     pipeline = PipelineConfig(
         probe=_enum_from_value(ProbeKind, pipe.get("probe", "direct-full"), "probe"),
         queue=_enum_from_value(QueueKind, pipe.get("queue", "blocking-linked"), "queue"),
@@ -152,11 +165,11 @@ def config_from_dict(data: dict) -> BenchmarkConfig:
     )
 
 
-def estimate_clock_resolution_ns(probes: int = 2000) -> int:
+def estimate_clock_resolution_ns() -> int:
     """Smallest positive delta observed between consecutive clock reads."""
     clock = time.perf_counter_ns
     best = None
-    for _ in range(probes):
+    for _ in range(CLOCK_PROBES):
         a = clock()
         b = clock()
         delta = b - a

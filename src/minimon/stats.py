@@ -59,18 +59,14 @@ class Comparison:
     ratio: float  # mean_b / mean_a
 
 
-def summarize(samples_ns: Sequence[float], per_call_divisor: int = 1) -> SummaryStats:
-    """Summary statistics of a sample set, converted from ns to µs.
+def summarize(samples_ns: Sequence[float]) -> SummaryStats:
+    """Per-iteration summary statistics of a sample set, converted from ns to µs.
 
-    Values are per iteration; per-call values are mean/per_call_divisor,
-    derived by callers where needed. Negative samples (possible only at
-    clock resolution) are clamped to zero.
+    Negative samples (possible only at clock resolution) are clamped to zero.
     """
     n = len(samples_ns)
     if n < 2:
         raise ValueError(f"need at least 2 samples for a summary, got {n}")
-    if per_call_divisor < 1:
-        raise ValueError(f"per_call_divisor must be >= 1, got {per_call_divisor}")
     x = np.maximum(np.asarray(samples_ns, dtype=np.float64), 0.0) / 1000.0
     mean = float(x.mean())
     stddev = float(x.std(ddof=1))

@@ -48,6 +48,13 @@ def test_unknown_probe_rejected_with_name(tmp_path):
         load_suite(path)
 
 
+def test_misspelt_key_rejected_with_name(tmp_path):
+    path = write_suite(tmp_path, [
+        {"config_id": "x", "pipeline": {"queue_capcity": 5}, "iteratons": 10}])
+    with pytest.raises(SuiteConfigError, match=r"configs\[0\].*'iteratons'"):
+        load_suite(path)
+
+
 def test_duplicate_config_id_rejected(tmp_path):
     path = write_suite(tmp_path, [
         {"config_id": "x", "pipeline": {"probe": "none"}},

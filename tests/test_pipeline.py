@@ -1,3 +1,5 @@
+import os
+import sys
 import threading
 import time
 
@@ -59,8 +61,8 @@ def test_record_after_shutdown_is_counted_drop(tmp_path):
     pipeline.new_monitoring_record(DurationRecord("a()", 1))
     pipeline.shutdown()
     pipeline.new_monitoring_record(DurationRecord("a()", 2))
-    # counters are frozen in the first report; the drop is still counted
-    assert pipeline._dropped == 1
+    # counters are frozen in the first report; the queue still counts the drop
+    assert pipeline.queue.stats().dropped == 1
 
 
 def test_shutdown_idempotent(tmp_path):
@@ -155,3 +157,83 @@ def test_unserializable_record_is_counted_and_writer_survives(tmp_path):
     assert (report.enqueued, report.written, report.failed) == (6, 5, 1)
     lines = (tmp_path / "m.log").read_text().splitlines()
     assert [deserialize(line) for line in lines] == good
+
+
+def test_put_racing_shutdown_is_enqueued_and_written_or_dropped(tmp_path):
+    pipeline = null_pipeline(tmp_path).start()
+    real_put = pipeline.queue.put
+    entered, release = threading.Event(), threading.Event()
+
+    def held_put(record):
+        entered.set()
+        release.wait()
+        real_put(record)
+
+    pipeline.queue.put = held_put
+    record = DurationRecord("a()", 1)
+    producer = threading.Thread(target=pipeline.new_monitoring_record, args=(record,),
+                                daemon=True)
+    producer.start()
+    assert entered.wait(timeout=2)
+    report = pipeline.shutdown()
+    release.set()
+    producer.join(timeout=2)
+    assert not producer.is_alive()
+    stats = pipeline.queue.stats()
+    assert stats.enqueued == report.written + report.overwritten + report.failed
+    assert stats.enqueued + stats.dropped == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_dead_writer_releases_producer_and_shutdown_raises():
+    pipeline = Pipeline(PipelineConfig(
+        probe=ProbeKind.DIRECT_DURATION, queue=QueueKind.BLOCKING_LINKED,
+        queue_capacity=16, writer=WriterKind.FILE, output_path="/dev/full")).start()
+
+    def produce():
+        for i in range(20_000):
+            pipeline.new_monitoring_record(DurationRecord("a()", i))
+
+    producer = threading.Thread(target=produce, daemon=True)
+    producer.start()
+    producer.join(timeout=5)
+    assert not producer.is_alive(), "producer blocked behind a dead writer"
+    with pytest.raises(RuntimeError, match="writer failed"):
+        pipeline.shutdown()
+    with pytest.raises(RuntimeError, match="writer failed"):
+        pipeline.shutdown()
+    stats = pipeline.queue.stats()
+    assert stats.enqueued + stats.dropped == 20_000
+    assert stats.dropped > 0
+
+
+@pytest.mark.parametrize("kind", list(QueueKind))
+def test_producers_racing_shutdown_keep_counters_balanced(tmp_path, kind):
+    producers, per_producer = 3, 5_000
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more thread switches, more interleavings
+    try:
+        for trial in range(4):
+            pipeline = null_pipeline(tmp_path, queue=kind, capacity=64).start()
+
+            def produce():
+                for i in range(per_producer):
+                    pipeline.new_monitoring_record(DurationRecord("a()", i))
+
+            threads = [threading.Thread(target=produce, daemon=True)
+                       for _ in range(producers)]
+            for thread in threads:
+                thread.start()
+            # Shut down mid-stream, a little later on each trial.
+            while pipeline.queue.stats().enqueued < 500 * (trial + 1):
+                time.sleep(0.0005)
+            report = pipeline.shutdown()
+            for thread in threads:
+                thread.join(timeout=5)
+                assert not thread.is_alive()
+            stats = pipeline.queue.stats()
+            assert report.enqueued == stats.enqueued
+            assert report.enqueued == report.written + report.overwritten + report.failed
+            assert stats.enqueued + stats.dropped == producers * per_producer
+    finally:
+        sys.setswitchinterval(switch_interval)

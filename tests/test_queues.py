@@ -110,16 +110,22 @@ def test_empty_take_returns_none():
         assert make_queue(kind, 4).take() is None
 
 
-def test_take_with_timeout_waits_for_data():
-    queue = BlockingLinkedQueue(4)
-    threading.Timer(0.05, lambda: queue.put("x")).start()
-    assert queue.take(timeout=2.0) == "x"
+def test_waiting_take_returns_a_put_record_then_none_once_closed():
+    for kind in QueueKind:
+        queue = make_queue(kind, 4)
+        threading.Timer(0.05, lambda: queue.put("x")).start()
+        assert queue.take(wait=True) == "x"
+        queue.put("y")
+        threading.Timer(0.05, queue.close).start()
+        assert queue.take(wait=True) == "y"  # drained before the close is seen
+        assert queue.take(wait=True) is None
 
 
 def test_fresh_queue_stats_zero():
     for kind in QueueKind:
         stats = make_queue(kind, 3).stats()
-        assert (stats.enqueued, stats.dequeued, stats.overwritten) == (0, 0, 0)
+        assert (stats.enqueued, stats.dequeued, stats.overwritten, stats.dropped) == (
+            0, 0, 0, 0)
         assert stats.capacity == 3
 
 
@@ -174,3 +180,29 @@ def test_capacity_validation():
         SyncRingQueue(0)
     with pytest.raises(ValueError):
         BlockingLinkedQueue(-1)
+
+
+@pytest.mark.parametrize("kind", list(QueueKind))
+def test_put_after_close_is_dropped(kind):
+    queue = make_queue(kind, 4)
+    queue.put(1)
+    queue.close()
+    queue.put(2)
+    stats = queue.stats()
+    assert (stats.enqueued, stats.dropped) == (1, 1)
+    assert [queue.take(), queue.take()] == [1, None]
+
+
+def test_producer_blocked_on_full_queue_drops_on_close():
+    queue = BlockingLinkedQueue(1)
+    queue.put(1)
+    thread = threading.Thread(target=queue.put, args=(2,), daemon=True)
+    thread.start()
+    time.sleep(0.05)
+    assert thread.is_alive()
+    queue.close()
+    thread.join(timeout=2)
+    assert not thread.is_alive()
+    stats = queue.stats()
+    assert (stats.enqueued, stats.dropped) == (1, 1)
+    assert queue.take() == 1

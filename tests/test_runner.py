@@ -51,6 +51,16 @@ def test_config_from_dict_bad_probe_names_value():
         config_from_dict({"config_id": "x", "pipeline": {"probe": "bogus"}})
 
 
+@pytest.mark.parametrize("data, names", [
+    ({"config_id": "x", "iteratons": 10}, "'iteratons'"),
+    ({"config_id": "x", "pipeline": {"queue_capcity": 5}}, "pipeline key.*'queue_capcity'"),
+    ({"config_id": "x", "workload": {"dept": 3, "busy": 1}}, "workload key.*'busy', 'dept'"),
+])
+def test_config_from_dict_rejects_unknown_keys(data, names):
+    with pytest.raises(ValueError, match=names):
+        config_from_dict(data)
+
+
 def test_run_config_produces_raw_files(tmp_path):
     config = tiny_config(iterations=100, runs=2)
     sample_set = run_config(config, tmp_path)

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import minimon
 from minimon.pipeline import Pipeline, PipelineConfig, WriterKind
 from minimon.probes import ProbeKind
 from minimon.records import DurationRecord, FullRecord
@@ -116,3 +121,12 @@ def test_params_validation():
         WorkloadParams(depth=0)
     with pytest.raises(ValueError):
         WorkloadParams(depth=1, busy_ns=-1)
+
+
+def test_monitored_application_imports_leave_out_numpy_and_the_harness():
+    code = ("import sys, minimon.pipeline, minimon.workload; "
+            "print(sorted({'numpy', 'minimon.runner', 'minimon.stats'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(minimon.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"
