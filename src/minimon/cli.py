@@ -48,8 +48,10 @@ def load_suite(path: str | None) -> dict:
     except json.JSONDecodeError as exc:
         raise SuiteConfigError(f"{source}: invalid JSON: {exc}") from exc
 
+    if not isinstance(data, dict):
+        raise SuiteConfigError(f"{source}: the suite must be a JSON object")
     raw_configs = data.get("configs")
-    if not raw_configs:
+    if not raw_configs or not isinstance(raw_configs, list):
         raise SuiteConfigError(f"{source}: 'configs' must be a nonempty list")
     configs = []
     seen = set()
@@ -67,10 +69,12 @@ def load_suite(path: str | None) -> dict:
     depths = data.get("depths")
     if depths is not None:
         if not isinstance(depths, list) or not all(
-                isinstance(d, int) and d >= 1 for d in depths):
+                type(d) is int and d >= 1 for d in depths):
             raise SuiteConfigError(f"{source}: 'depths' must be a list of integers >= 1")
-    return {"configs": configs, "depths": depths,
-            "output_dir": data.get("output_dir")}
+    output_dir = data.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise SuiteConfigError(f"{source}: 'output_dir' must be a string")
+    return {"configs": configs, "depths": depths, "output_dir": output_dir}
 
 
 def _apply_paper_scale(configs):

@@ -16,6 +16,10 @@ Per run the child persists:
   clock resolution estimate, workload checksum.
 * ``monitoring.log`` -- the monitoring output (file writer only; can be
   dropped after line-counting via ``keep_monitoring_log=False``).
+
+Each run is checked as it lands, by the loader ``report`` uses: a failed
+run, counters that break ``enqueued == written + overwritten + failed`` or
+a bad ``samples.csv`` stops the suite at once.
 """
 
 from __future__ import annotations
@@ -25,14 +29,12 @@ import math
 import subprocess
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
-from .pipeline import PipelineConfig, WriterKind
-from .probes import ProbeKind
-from .queues import QueueKind
+from .pipeline import PipelineConfig
 from .workload import WorkloadParams
 
 __all__ = [
@@ -127,42 +129,41 @@ def config_to_dict(config: BenchmarkConfig) -> dict:
     return asdict(config, dict_factory=_enums_as_values)
 
 
-def _check_keys(data, cls, where: str) -> None:
-    """A misspelt key would silently run with the default: refuse it."""
+def _from_dict(cls, data, where: str):
+    """Build dataclass ``cls`` from JSON ``data``; its fields are the schema.
+
+    A misspelt key or a wrong JSON type is refused, never defaulted or
+    coerced (only an int widens to a float); ``__post_init__`` checks ranges.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {data!r}")
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        if f.name not in data:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"{where} is missing {f.name!r}")
+            continue
+        kind, value = hints[f.name], data[f.name]
+        if is_dataclass(kind):
+            value = _from_dict(kind, value, f.name)
+        elif issubclass(kind, Enum):
+            value = _enum_from_value(kind, value, f.name)
+        elif kind is float and type(value) is int:
+            value = float(value)
+        elif type(value) is not kind:
+            raise ValueError(
+                f"{where} {f.name!r} must be of type {kind.__name__}, got {value!r}")
+        values[f.name] = value
+    return cls(**values)
 
 
 def config_from_dict(data: dict) -> BenchmarkConfig:
-    _check_keys(data, BenchmarkConfig, "config")
-    if "config_id" not in data:
-        raise ValueError("benchmark config is missing 'config_id'")
-    pipe = data.get("pipeline", {})
-    work = data.get("workload", {})
-    _check_keys(pipe, PipelineConfig, "pipeline")
-    _check_keys(work, WorkloadParams, "workload")
-    pipeline = PipelineConfig(
-        probe=_enum_from_value(ProbeKind, pipe.get("probe", "direct-full"), "probe"),
-        queue=_enum_from_value(QueueKind, pipe.get("queue", "blocking-linked"), "queue"),
-        queue_capacity=int(pipe.get("queue_capacity", PipelineConfig.queue_capacity)),
-        writer=_enum_from_value(WriterKind, pipe.get("writer", "file"), "writer"),
-        aggregation_window=int(pipe.get("aggregation_window",
-                                        PipelineConfig.aggregation_window)),
-        output_path=str(pipe.get("output_path", PipelineConfig.output_path)),
-    )
-    workload = WorkloadParams(
-        depth=int(work.get("depth", 10)),
-        busy_ns=int(work.get("busy_ns", 0)),
-    )
-    return BenchmarkConfig(
-        config_id=str(data["config_id"]),
-        pipeline=pipeline,
-        workload=workload,
-        iterations=int(data.get("iterations", DEFAULT_ITERATIONS)),
-        runs=int(data.get("runs", DEFAULT_RUNS)),
-        warmup_fraction=float(data.get("warmup_fraction", 0.5)),
-    )
+    """Inverse of :func:`config_to_dict`; raises ValueError naming the bad field."""
+    return _from_dict(BenchmarkConfig, data, "config")
 
 
 def estimate_clock_resolution_ns() -> int:
@@ -188,7 +189,9 @@ def run_config(config: BenchmarkConfig, out_dir: str | Path,
     """Execute one configuration: ``runs`` sequential fresh child processes.
 
     A crashing child leaves its partial data in place, gets a
-    ``metadata.json`` with ``failed: true``, and raises BenchmarkError.
+    ``metadata.json`` with ``failed: true``, and raises BenchmarkError; so
+    does a finished run whose counters do not balance or whose sample
+    count is not ``iterations``.
     """
     out_dir = Path(out_dir)
     result_dir = out_dir / result_dir_name(config.config_id, depth_key)
@@ -221,7 +224,7 @@ def run_config(config: BenchmarkConfig, out_dir: str | Path,
                 f"exited with {proc.returncode}; partial data in {run_dir}\n"
                 f"{proc.stderr[-2000:]}"
             )
-        runs.append(_read_samples_csv(run_dir / "samples.csv", config.iterations))
+        runs.append(_load_run(run_dir, config.iterations)[1])
     return SampleSet(config_id=config.config_id, depth=config.workload.depth,
                      warmup_fraction=config.warmup_fraction, runs=runs)
 
@@ -232,17 +235,13 @@ def sweep_depths(configs: Sequence[BenchmarkConfig], depths: Sequence[int],
     """Run the {configs} x {depths} grid; results keyed by (config_id, depth)."""
     if not depths:
         raise ValueError("depths must be nonempty")
-    for d in depths:
-        if d < 1:
-            raise ValueError(f"depths must all be >= 1, got {d}")
-    results: dict[tuple[str, int], SampleSet] = {}
-    for config in configs:
-        for depth in depths:
-            derived = replace(config, workload=replace(config.workload, depth=depth))
-            results[(config.config_id, depth)] = run_config(
-                derived, out_dir, keep_monitoring_log=keep_monitoring_log,
-                depth_key=depth)
-    return results
+    # The whole grid is built first, so a bad depth fails before any child runs.
+    grid = {(config.config_id, depth):
+            replace(config, workload=replace(config.workload, depth=depth))
+            for config in configs for depth in depths}
+    return {key: run_config(derived, out_dir, keep_monitoring_log=keep_monitoring_log,
+                            depth_key=key[1])
+            for key, derived in grid.items()}
 
 
 def _read_samples_csv(path: Path, expected_rows: int | None = None) -> list[int]:
@@ -264,6 +263,29 @@ def _read_samples_csv(path: Path, expected_rows: int | None = None) -> list[int]
     return samples
 
 
+def _load_run(run_dir: Path, expected_rows: int | None = None) -> tuple[dict, list[int]]:
+    """One run's metadata and samples, refused unless its counters balance."""
+    meta_path = run_dir / "metadata.json"
+    if not meta_path.exists():
+        raise BenchmarkError(f"{run_dir}: missing metadata.json")
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    if meta.get("failed"):
+        raise BenchmarkError(f"{run_dir}: run is marked failed")
+    counters = meta.get("counters")
+    try:
+        enqueued, written, overwritten = (
+            counters["enqueued"], counters["written"], counters["overwritten"])
+    except (KeyError, TypeError):
+        raise BenchmarkError(f"{run_dir}: metadata.json has no pipeline counters") from None
+    # Runs recorded before the writer counted failures have no "failed".
+    failed = counters.get("failed", 0)
+    if enqueued != written + overwritten + failed:
+        raise BenchmarkError(
+            f"{run_dir}: counters do not balance: enqueued {enqueued} != written "
+            f"{written} + overwritten {overwritten} + failed {failed}")
+    return meta, _read_samples_csv(run_dir / "samples.csv", expected_rows)
+
+
 def load_sample_set(result_dir: str | Path) -> tuple[SampleSet, list[dict]]:
     """Load a persisted result directory; returns (samples, run metadata)."""
     result_dir = Path(result_dir)
@@ -271,29 +293,9 @@ def load_sample_set(result_dir: str | Path) -> tuple[SampleSet, list[dict]]:
                       key=lambda p: int(p.name.split("_")[1]))
     if not run_dirs:
         raise BenchmarkError(f"{result_dir}: no run directories found")
-    runs = []
-    metadata = []
-    for run_dir in run_dirs:
-        meta_path = run_dir / "metadata.json"
-        if not meta_path.exists():
-            raise BenchmarkError(f"{run_dir}: missing metadata.json")
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        if meta.get("failed"):
-            raise BenchmarkError(f"{run_dir}: run is marked failed")
-        counters = meta.get("counters")
-        try:
-            enqueued, written, overwritten = (
-                counters["enqueued"], counters["written"], counters["overwritten"])
-        except (KeyError, TypeError):
-            raise BenchmarkError(f"{run_dir}: metadata.json has no pipeline counters") from None
-        # Runs recorded before the writer counted failures have no "failed".
-        failed = counters.get("failed", 0)
-        if enqueued != written + overwritten + failed:
-            raise BenchmarkError(
-                f"{run_dir}: counters do not balance: enqueued {enqueued} != written "
-                f"{written} + overwritten {overwritten} + failed {failed}")
-        metadata.append(meta)
-        runs.append(_read_samples_csv(run_dir / "samples.csv"))
+    loaded = [_load_run(run_dir) for run_dir in run_dirs]
+    metadata = [meta for meta, _ in loaded]
+    runs = [samples for _, samples in loaded]
     config = metadata[0].get("config")
     try:
         sample_set = SampleSet(
@@ -312,6 +314,5 @@ def load_sample_set(result_dir: str | Path) -> tuple[SampleSet, list[dict]]:
 def find_result_dirs(out_dir: str | Path) -> list[Path]:
     """Result directories under ``out_dir`` (those containing run_0/)."""
     out_dir = Path(out_dir)
-    found = [p for p in sorted(out_dir.iterdir())
-             if p.is_dir() and (p / "run_0").is_dir()]
-    return found
+    return [p for p in sorted(out_dir.iterdir())
+            if p.is_dir() and (p / "run_0").is_dir()]

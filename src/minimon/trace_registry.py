@@ -8,29 +8,21 @@ when the execution stack size returns to zero.
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 __all__ = ["NO_TRACE", "TraceRegistry", "reset_trace_id_allocator"]
 
 NO_TRACE = -1
 
-_id_lock = threading.Lock()
-_next_trace_id = 0
-
-
-def _allocate_trace_id() -> int:
-    global _next_trace_id
-    with _id_lock:
-        trace_id = _next_trace_id
-        _next_trace_id += 1
-    return trace_id
+# next() on a count is one C call under the GIL: ids never repeat across threads.
+_trace_ids = itertools.count()
 
 
 def reset_trace_id_allocator() -> None:
     """Reset the process-global trace id counter (test isolation only)."""
-    global _next_trace_id
-    with _id_lock:
-        _next_trace_id = 0
+    global _trace_ids
+    _trace_ids = itertools.count()
 
 
 class _Context(threading.local):
@@ -59,7 +51,7 @@ class TraceRegistry:
         ctx = self._ctx
         if ctx.trace_id != NO_TRACE:
             raise RuntimeError(f"trace {ctx.trace_id} already active")
-        ctx.trace_id = _allocate_trace_id()
+        ctx.trace_id = next(_trace_ids)
         ctx.next_eoi = 0
         ctx.ess = 0
         return ctx.trace_id

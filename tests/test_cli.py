@@ -55,6 +55,19 @@ def test_misspelt_key_rejected_with_name(tmp_path):
         load_suite(path)
 
 
+@pytest.mark.parametrize("suite, names", [
+    ([{"config_id": "x"}], "JSON object"),
+    ({"configs": [{"config_id": "x"}], "depths": [2, True]}, "'depths'"),
+    ({"configs": [{"config_id": "x"}], "output_dir": 5}, "'output_dir'"),
+    ({"configs": 5}, "'configs'"),
+], ids=["list", "depth-true", "output_dir-int", "configs-int"])
+def test_load_suite_rejects_wrong_json_types_naming_the_file(tmp_path, suite, names):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    with pytest.raises(SuiteConfigError, match=f"suite.json: .*{names}"):
+        load_suite(str(path))
+
+
 def test_duplicate_config_id_rejected(tmp_path):
     path = write_suite(tmp_path, [
         {"config_id": "x", "pipeline": {"probe": "none"}},
@@ -96,6 +109,12 @@ def test_run_bad_suite_exits_nonzero(tmp_path, capsys):
         {"config_id": "x", "pipeline": {"probe": "bogus"}}])
     assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def test_run_null_pipeline_is_an_error_line_not_a_traceback(tmp_path, capsys):
+    path = write_suite(tmp_path, [{"config_id": "x", "pipeline": None}])
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("minimon: error:")
 
 
 def test_report_missing_dir_exits_nonzero(tmp_path, capsys):

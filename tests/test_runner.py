@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from minimon import runner
+from minimon.cli import load_suite
 from minimon.pipeline import PipelineConfig, WriterKind
 from minimon.probes import ProbeKind
 from minimon.queues import QueueKind
@@ -46,6 +48,17 @@ def test_config_dict_round_trip():
     assert config_from_dict(config_to_dict(config)) == config
 
 
+@pytest.mark.parametrize("config", load_suite(None)["configs"], ids=lambda c: c.config_id)
+def test_bundled_config_dict_round_trip(config):
+    assert config_from_dict(config_to_dict(config)) == config
+
+
+def test_config_from_dict_int_for_float_field_loads_as_float():
+    config = config_from_dict({"config_id": "x", "warmup_fraction": 0})
+    assert config.warmup_fraction == 0.0
+    assert type(config.warmup_fraction) is float
+
+
 def test_config_from_dict_bad_probe_names_value():
     with pytest.raises(ValueError, match="bogus"):
         config_from_dict({"config_id": "x", "pipeline": {"probe": "bogus"}})
@@ -57,6 +70,22 @@ def test_config_from_dict_bad_probe_names_value():
     ({"config_id": "x", "workload": {"dept": 3, "busy": 1}}, "workload key.*'busy', 'dept'"),
 ])
 def test_config_from_dict_rejects_unknown_keys(data, names):
+    with pytest.raises(ValueError, match=names):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize("data, names", [
+    ({"config_id": "x", "pipeline": None}, "pipeline"),
+    ({"config_id": "x", "iterations": None}, "'iterations'"),
+    ({"config_id": "x", "iterations": 2.9}, "'iterations'"),
+    ({"config_id": "x", "iterations": 1e5}, "'iterations'"),
+    ({"config_id": "x", "workload": {"depth": True}}, "'depth'"),
+    ({"config_id": 5}, "'config_id'"),
+    ("direct-full", "config must be a JSON object"),
+    ({"iterations": 10}, "missing 'config_id'"),
+], ids=["pipeline-null", "iterations-null", "iterations-float", "iterations-1e5",
+        "depth-true", "config_id-int", "not-an-object", "no-config_id"])
+def test_config_from_dict_rejects_wrong_json_types(data, names):
     with pytest.raises(ValueError, match=names):
         config_from_dict(data)
 
@@ -138,6 +167,24 @@ def test_load_sample_set_rejects_bad_counters(tmp_path, tamper, message):
         load_sample_set(tmp_path / "tiny")
 
 
+def test_run_config_rejects_unbalanced_counters_as_the_run_lands(tmp_path, monkeypatch):
+    real_run = runner.subprocess.run
+
+    def run_then_tamper(args, **kwargs):
+        proc = real_run(args, **kwargs)
+        meta_path = tmp_path / "tiny" / "run_1" / "metadata.json"
+        if args[-1] == str(meta_path.with_name("child-config.json")):
+            meta = json.loads(meta_path.read_text())
+            meta["counters"]["written"] -= 1
+            meta_path.write_text(json.dumps(meta))
+        return proc
+
+    monkeypatch.setattr(runner.subprocess, "run", run_then_tamper)
+    config = tiny_config(probe=ProbeKind.DIRECT_DURATION, iterations=20, runs=2)
+    with pytest.raises(BenchmarkError, match="run_1.*do not balance"):
+        run_config(config, tmp_path)
+
+
 def test_kept_samples_drops_warmup_per_run():
     from minimon.runner import SampleSet
     sample_set = SampleSet("x", 1, 0.5, [[1, 2, 3, 4], [5, 6, 7, 8]])
@@ -159,6 +206,9 @@ def test_sweep_depths_validation(tmp_path):
         sweep_depths([config], [], tmp_path)
     with pytest.raises(ValueError):
         sweep_depths([config], [0], tmp_path)
+    with pytest.raises(ValueError, match="depth"):
+        sweep_depths([config], [2, 0], tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_find_result_dirs(tmp_path):
