@@ -50,6 +50,10 @@ def load_suite(path: str | None) -> dict:
 
     if not isinstance(data, dict):
         raise SuiteConfigError(f"{source}: the suite must be a JSON object")
+    unknown = sorted(set(data) - {"configs", "depths", "output_dir"})
+    if unknown:
+        raise SuiteConfigError(
+            f"{source}: unknown suite key(s): {', '.join(map(repr, unknown))}")
     raw_configs = data.get("configs")
     if not raw_configs or not isinstance(raw_configs, list):
         raise SuiteConfigError(f"{source}: 'configs' must be a nonempty list")

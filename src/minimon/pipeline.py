@@ -1,15 +1,19 @@
 """Monitoring pipeline: probe emissions -> bounded queue -> writer thread.
 
 The producing thread only ever calls ``new_monitoring_record`` (a queue
-put); all serialization and file I/O happens on the single writer thread.
-The writer blocks until a record arrives or the queue closes. ``shutdown``
-closes the queue, which then counts every put as dropped; the writer
-drains what was enqueued and leaves, and the file is flushed and closed.
+put that wakes nobody); all serialization and file I/O happens on the
+single writer thread. The writer drains whole batches: it takes every
+record present, writes the batch with one ``write`` and one ``flush``,
+and counts it as written only once the flush returned. On an empty queue
+it sleeps about a millisecond. ``shutdown`` closes the queue, which then
+counts every put as dropped; the writer drains what was enqueued and
+leaves, and the file is closed.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,9 +23,9 @@ from .records import RecordFormatError, serialize
 
 __all__ = ["WriterKind", "PipelineConfig", "PipelineReport", "Pipeline"]
 
-# Writer flushes its file buffer every this many lines and at shutdown;
-# per-line flushing would dominate the measured overhead.
-FLUSH_EVERY = 8192
+# The writer's sleep on an empty queue: the producer pays no wake-up, and
+# a record waits at most about this long (plus a GIL switch) to be taken.
+IDLE_SLEEP_S = 0.001
 
 
 class WriterKind(Enum):
@@ -91,30 +95,35 @@ class Pipeline:
     def _writer_loop(self) -> None:
         queue = self.queue
         file = self._file
-        written = failed = unflushed = 0
+        written = failed = 0
         try:
             while True:
-                # Event.wait locks even when set; once per record, that keeps runs
-                # in the slow producer/writer hand-off far longer. Reading does not.
+                # Event.wait locks even when set; reading the flag does not.
                 if not self._gate.is_set():
                     self._gate.wait()
-                record = queue.take(wait=True)
-                if record is None:  # closed and drained
-                    break
-                if file is not None:
-                    # One bad record must not kill the writer.
+                # Read before the drain: puts after the close are dropped, so an
+                # empty drain that follows a closed read leaves nothing behind.
+                closed = queue.closed
+                batch = queue.drain()
+                if not batch:
+                    if closed:
+                        break
+                    time.sleep(IDLE_SLEEP_S)
+                    continue
+                if file is None:
+                    written += len(batch)
+                    continue
+                lines = []
+                for record in batch:
+                    # One bad record must not spoil its batch or kill the writer.
                     try:
-                        line = serialize(record)
+                        lines.append(serialize(record))
                     except RecordFormatError:
                         failed += 1
-                        continue
-                    file.write(line)
-                    file.write("\n")
-                    unflushed += 1
-                    if unflushed >= FLUSH_EVERY:
-                        file.flush()
-                        unflushed = 0
-                written += 1
+                if lines:
+                    file.write("\n".join(lines) + "\n")
+                    file.flush()
+                    written += len(lines)
         except Exception as exc:  # re-raised by shutdown
             self._error = exc
         finally:
@@ -124,9 +133,9 @@ class Pipeline:
             self._failed = failed
 
     def pause_writer(self) -> None:
-        """Suspend the writer before its next take (test hook).
+        """Suspend the writer before its next drain (test hook).
 
-        A take already waiting for a record still returns that one record.
+        A drain already under way still takes its batch.
         """
         self._gate.clear()
 
@@ -136,8 +145,8 @@ class Pipeline:
     def shutdown(self) -> PipelineReport:
         """Close the queue, let the writer drain it, return the counters.
 
-        Idempotent; raises RuntimeError on every call if the writer or its
-        final flush failed.
+        Idempotent; raises RuntimeError on every call if the writer or the
+        file's close failed.
         """
         if self._report is None:
             if self.queue is None:

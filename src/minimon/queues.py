@@ -5,10 +5,14 @@ is a ``deque(maxlen=capacity)`` ring that never blocks the producer:
 when full, the newest element overwrites the oldest (counted in
 ``overwritten``).
 
-Both are safe for concurrent producers and one consumer; all access is
-serialized through one lock per queue. The queue also owns the close:
-after ``close`` every put is refused and counted in ``dropped``, so each
-put is either enqueued or dropped, decided under that one lock.
+Both are safe for concurrent producers and one consumer. The hand-off is
+per batch, not per record: a put appends under one plain lock and wakes
+nobody; the consumer calls ``drain`` to take every record present under
+that lock, and wakes blocked producers only if the queue was full. A
+condition on the same lock serves only the full blocking put and the
+close. The queue owns the close: after ``close`` every put is refused
+and counted in ``dropped``, so each put is either enqueued or dropped,
+decided under the one lock.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ class QueueStats:
 
 
 class _BoundedQueue:
-    """Deque of at most ``capacity`` records behind one condition.
+    """Deque of at most ``capacity`` records behind one lock.
 
     Subclasses supply ``put``, which decides what a full queue does. Only
     the ring appends to a full deque, so only the ring evicts through
@@ -50,47 +54,52 @@ class _BoundedQueue:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._q = collections.deque(maxlen=capacity)
-        self._cond = threading.Condition()
-        self._closed = False
+        self._lock = threading.Lock()
+        self._not_full = threading.Condition(self._lock)
+        self.closed = False
         self._enqueued = 0
         self._dequeued = 0
         self._overwritten = 0
         self._dropped = 0
 
     def close(self) -> None:
-        """Refuse every later put and wake all waiters; idempotent."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
+        """Refuse every later put and wake blocked producers; idempotent."""
+        with self._lock:
+            self.closed = True
+            self._not_full.notify_all()
 
-    def take(self, wait: bool = False):
-        """Remove and return the oldest record, or None if empty.
-
-        With ``wait`` blocks until a record arrives and returns None only
-        once the queue is closed and drained.
-        """
-        cond = self._cond
-        with cond:
+    def drain(self) -> list:
+        """Remove and return every record present, oldest first."""
+        with self._lock:
             q = self._q
-            if wait:
-                while not q and not self._closed:
-                    cond.wait()
+            if not q:
+                return []
+            was_full = len(q) >= self.capacity
+            batch = list(q)
+            q.clear()
+            self._dequeued += len(batch)
+            if was_full:
+                self._not_full.notify_all()
+            return batch
+
+    def take(self):
+        """Remove and return the oldest record, or None if empty."""
+        with self._lock:
+            q = self._q
             if not q:
                 return None
             was_full = len(q) >= self.capacity
             record = q.popleft()
             self._dequeued += 1
-            # Wake producers only on the full -> not-full transition.
             if was_full:
-                cond.notify_all()
+                self._not_full.notify_all()
             return record
 
     def __len__(self) -> int:
-        with self._cond:
-            return len(self._q)
+        return len(self._q)
 
     def stats(self) -> QueueStats:
-        with self._cond:
+        with self._lock:
             return QueueStats(self._enqueued, self._dequeued, self._overwritten,
                               self.capacity, self._dropped)
 
@@ -99,29 +108,23 @@ class BlockingLinkedQueue(_BoundedQueue):
     """Linked FIFO with a capacity bound; ``put`` blocks while full."""
 
     def put(self, record) -> None:
-        cond = self._cond
-        with cond:
+        with self._lock:
             q = self._q
-            while len(q) >= self.capacity and not self._closed:
-                cond.wait()
-            if self._closed:
+            while len(q) >= self.capacity and not self.closed:
+                self._not_full.wait()
+            if self.closed:
                 self._dropped += 1
                 return
             q.append(record)
             self._enqueued += 1
-            # Signal only on the empty -> nonempty transition; the single
-            # consumer only ever waits on an empty queue.
-            if len(q) == 1:
-                cond.notify()
 
 
 class SyncRingQueue(_BoundedQueue):
     """Circular FIFO; a full ring overwrites its oldest element."""
 
     def put(self, record) -> None:
-        cond = self._cond
-        with cond:
-            if self._closed:
+        with self._lock:
+            if self.closed:
                 self._dropped += 1
                 return
             q = self._q
@@ -130,8 +133,6 @@ class SyncRingQueue(_BoundedQueue):
                 self._overwritten += 1
             q.append(record)
             self._enqueued += 1
-            if len(q) == 1:
-                cond.notify()
 
 
 def make_queue(kind: QueueKind, capacity: int = DEFAULT_CAPACITY):

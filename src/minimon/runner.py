@@ -63,6 +63,12 @@ PAPER_SCALE_RUNS = 10
 # Consecutive clock-read pairs behind a run's clock resolution estimate.
 CLOCK_PROBES = 2000
 
+# A child is killed after CHILD_START_S plus, for every iteration, its busy
+# time and CHILD_LEVEL_S per call level: over ten times what the slowest
+# probe style costs per level on a 2 vCPU host, so only a hung child meets it.
+CHILD_START_S = 60.0
+CHILD_LEVEL_S = 250e-6
+
 
 class BenchmarkError(RuntimeError):
     """A benchmark child process failed; partial data is kept on disk."""
@@ -183,15 +189,22 @@ def result_dir_name(config_id: str, depth: int | None = None) -> str:
     return config_id if depth is None else f"{config_id}__d{depth}"
 
 
+def child_timeout_s(config: BenchmarkConfig) -> float:
+    """Seconds one child may take before it counts as hung and is killed."""
+    workload = config.workload
+    return CHILD_START_S + config.iterations * (
+        workload.depth * CHILD_LEVEL_S + workload.busy_ns / 1e9)
+
+
 def run_config(config: BenchmarkConfig, out_dir: str | Path,
                keep_monitoring_log: bool = True,
                depth_key: int | None = None) -> SampleSet:
     """Execute one configuration: ``runs`` sequential fresh child processes.
 
-    A crashing child leaves its partial data in place, gets a
-    ``metadata.json`` with ``failed: true``, and raises BenchmarkError; so
-    does a finished run whose counters do not balance or whose sample
-    count is not ``iterations``.
+    A crashing child, or one killed after ``child_timeout_s``, leaves its
+    partial data in place, gets a ``metadata.json`` with ``failed: true``,
+    and raises BenchmarkError; so does a finished run whose counters do
+    not balance or whose sample count is not ``iterations``.
     """
     out_dir = Path(out_dir)
     result_dir = out_dir / result_dir_name(config.config_id, depth_key)
@@ -207,22 +220,30 @@ def run_config(config: BenchmarkConfig, out_dir: str | Path,
         }
         config_path = run_dir / "child-config.json"
         config_path.write_text(json.dumps(child_config, indent=2), encoding="utf-8")
-        proc = subprocess.run(
-            [sys.executable, "-m", "minimon._child", str(config_path)],
-            capture_output=True, text=True,
-        )
-        if proc.returncode != 0:
+        timeout_s = child_timeout_s(config)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "minimon._child", str(config_path)],
+                capture_output=True, text=True, timeout=timeout_s,
+            )
+            returncode, stderr = proc.returncode, proc.stderr
+            failure = f"exited with {returncode}" if returncode != 0 else None
+        except subprocess.TimeoutExpired as exc:
+            returncode, stderr = None, exc.stderr or ""
+            if isinstance(stderr, bytes):  # POSIX hands over the raw bytes read
+                stderr = stderr.decode(errors="replace")
+            failure = f"was killed after its {timeout_s:.1f} s timeout"
+        if failure is not None:
             (run_dir / "metadata.json").write_text(json.dumps({
                 "config_id": config.config_id,
                 "run": run_index,
                 "failed": True,
-                "returncode": proc.returncode,
-                "stderr": proc.stderr[-4000:],
+                "returncode": returncode,
+                "stderr": stderr[-4000:],
             }, indent=2), encoding="utf-8")
             raise BenchmarkError(
                 f"benchmark child for {config.config_id!r} run {run_index} "
-                f"exited with {proc.returncode}; partial data in {run_dir}\n"
-                f"{proc.stderr[-2000:]}"
+                f"{failure}; partial data in {run_dir}\n{stderr[-2000:]}"
             )
         runs.append(_load_run(run_dir, config.iterations)[1])
     return SampleSet(config_id=config.config_id, depth=config.workload.depth,

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-import numpy as np
-
 __all__ = [
     "SummaryStats",
     "Comparison",
@@ -64,6 +62,8 @@ def summarize(samples_ns: Sequence[float]) -> SummaryStats:
 
     Negative samples (possible only at clock resolution) are clamped to zero.
     """
+    import numpy as np  # here, so importing the CLI or this module stays cheap
+
     n = len(samples_ns)
     if n < 2:
         raise ValueError(f"need at least 2 samples for a summary, got {n}")

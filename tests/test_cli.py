@@ -55,6 +55,13 @@ def test_misspelt_key_rejected_with_name(tmp_path):
         load_suite(path)
 
 
+def test_misspelt_suite_key_rejected_naming_key_and_file(tmp_path):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"configs": [{"config_id": "x"}], "dephts": [2]}))
+    with pytest.raises(SuiteConfigError, match=r"suite.json: unknown suite key.*'dephts'"):
+        load_suite(str(path))
+
+
 @pytest.mark.parametrize("suite, names", [
     ([{"config_id": "x"}], "JSON object"),
     ({"configs": [{"config_id": "x"}], "depths": [2, True]}, "'depths'"),

@@ -159,6 +159,42 @@ def test_unserializable_record_is_counted_and_writer_survives(tmp_path):
     assert [deserialize(line) for line in lines] == good
 
 
+def test_bad_record_mid_batch_spoils_neither_neighbours_nor_order(tmp_path):
+    pipeline = file_pipeline(tmp_path, capacity=16).start()
+    drain, batches = pipeline.queue.drain, []
+
+    def counting_drain():
+        batch = drain()
+        if batch:
+            batches.append(len(batch))
+        return batch
+
+    pipeline.queue.drain = counting_drain
+    pipeline.pause_writer()
+    time.sleep(0.05)  # the writer reaches the gate
+    good = [DurationRecord("a()", i) for i in range(6)]
+    for record in good[:3] + [DurationRecord("a;b", 1)] + good[3:]:
+        pipeline.new_monitoring_record(record)
+    report = pipeline.shutdown()
+    assert batches == [7]
+    assert (report.enqueued, report.written, report.failed) == (7, 6, 1)
+    lines = (tmp_path / "m.log").read_text().splitlines()
+    assert [deserialize(line) for line in lines] == good
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_flush_counts_no_record_as_written():
+    pipeline = Pipeline(PipelineConfig(
+        probe=ProbeKind.DIRECT_DURATION, queue=QueueKind.BLOCKING_LINKED,
+        queue_capacity=16, writer=WriterKind.FILE, output_path="/dev/full")).start()
+    for i in range(100):
+        pipeline.new_monitoring_record(DurationRecord("a()", i))
+    with pytest.raises(RuntimeError, match="writer failed"):
+        pipeline.shutdown()
+    assert pipeline.queue.stats().dequeued > 0  # the writer took records ...
+    assert pipeline._report.written == 0  # ... but none reached the file
+
+
 def test_put_racing_shutdown_is_enqueued_and_written_or_dropped(tmp_path):
     pipeline = null_pipeline(tmp_path).start()
     real_put = pipeline.queue.put
@@ -182,6 +218,25 @@ def test_put_racing_shutdown_is_enqueued_and_written_or_dropped(tmp_path):
     stats = pipeline.queue.stats()
     assert stats.enqueued == report.written + report.overwritten + report.failed
     assert stats.enqueued + stats.dropped == 1
+
+
+def test_record_put_between_drain_and_close_is_still_written(tmp_path):
+    pipeline = null_pipeline(tmp_path).start()
+    queue, drain = pipeline.queue, pipeline.queue.drain
+    closed_after_a_drain = threading.Event()
+
+    def drain_then_put_and_close():
+        batch = drain()
+        if not queue.closed:  # a put and the close land right after a drain
+            queue.put(DurationRecord("a()", 1))
+            queue.close()
+            closed_after_a_drain.set()
+        return batch
+
+    queue.drain = drain_then_put_and_close
+    assert closed_after_a_drain.wait(timeout=2)
+    report = pipeline.shutdown()
+    assert report.enqueued == report.written == 1
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

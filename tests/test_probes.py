@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 
@@ -125,6 +126,23 @@ def test_aggregating_probe_flushes_residual():
     # flush is idempotent once drained
     probe.flush()
     assert len(sink.records) == 1
+
+
+def test_aggregating_probe_keeps_one_window_per_thread():
+    sink = Collector()
+    probe = AggregatingProbe(sink, window=1000)
+
+    def aggregate(calls):
+        for _ in range(calls):
+            probe.exit("m()", probe.enter())
+        probe.flush()
+
+    threads = [threading.Thread(target=aggregate, args=(calls,)) for calls in (3, 5)]
+    for thread in threads:
+        thread.start()
+        thread.join()
+    assert sorted(record.count for record in sink.records) == [3, 5]
+    assert probe.flush() == 0  # this thread aggregated nothing
 
 
 def test_intercept_preserves_behavior():

@@ -110,15 +110,58 @@ def test_empty_take_returns_none():
         assert make_queue(kind, 4).take() is None
 
 
-def test_waiting_take_returns_a_put_record_then_none_once_closed():
+def test_drain_returns_records_put_before_the_close_then_nothing():
     for kind in QueueKind:
         queue = make_queue(kind, 4)
-        threading.Timer(0.05, lambda: queue.put("x")).start()
-        assert queue.take(wait=True) == "x"
+        queue.put("x")
         queue.put("y")
-        threading.Timer(0.05, queue.close).start()
-        assert queue.take(wait=True) == "y"  # drained before the close is seen
-        assert queue.take(wait=True) is None
+        queue.close()
+        queue.put("z")  # after the close: dropped, never drained
+        assert queue.drain() == ["x", "y"]
+        assert queue.drain() == []
+        stats = queue.stats()
+        assert (stats.enqueued, stats.dequeued, stats.dropped) == (2, 2, 1)
+
+
+@pytest.mark.parametrize("kind", list(QueueKind))
+def test_drain_returns_every_record_in_fifo_order_and_counts_them(kind):
+    queue = make_queue(kind, 100)
+    assert queue.drain() == []
+    for i in range(10):
+        queue.put(i)
+    assert queue.take() == 0
+    assert queue.drain() == list(range(1, 10))
+    assert len(queue) == 0
+    for i in range(10, 15):
+        queue.put(i)
+    assert queue.drain() == list(range(10, 15))
+    stats = queue.stats()
+    assert (stats.enqueued, stats.dequeued, stats.overwritten) == (15, 15, 0)
+
+
+def test_ring_drain_after_overwrite_keeps_newest():
+    queue = SyncRingQueue(3)
+    for i in range(5):
+        queue.put(i)
+    assert queue.drain() == [2, 3, 4]
+    stats = queue.stats()
+    assert (stats.enqueued, stats.dequeued, stats.overwritten) == (5, 3, 2)
+
+
+def test_drain_of_full_blocking_queue_releases_blocked_producer():
+    queue = BlockingLinkedQueue(2)
+    queue.put(1)
+    queue.put(2)
+    thread = threading.Thread(target=queue.put, args=(3,), daemon=True)
+    thread.start()
+    time.sleep(0.05)
+    assert thread.is_alive()
+    assert queue.drain() == [1, 2]
+    thread.join(timeout=2)
+    assert not thread.is_alive()
+    assert queue.drain() == [3]
+    stats = queue.stats()
+    assert (stats.enqueued, stats.dequeued, stats.dropped) == (3, 3, 0)
 
 
 def test_fresh_queue_stats_zero():

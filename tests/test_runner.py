@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -183,6 +184,33 @@ def test_run_config_rejects_unbalanced_counters_as_the_run_lands(tmp_path, monke
     config = tiny_config(probe=ProbeKind.DIRECT_DURATION, iterations=20, runs=2)
     with pytest.raises(BenchmarkError, match="run_1.*do not balance"):
         run_config(config, tmp_path)
+
+
+def test_hung_child_is_killed_and_recorded_as_a_failed_run(tmp_path, monkeypatch):
+    timeouts = []
+
+    def hang(args, **kwargs):
+        timeouts.append(kwargs["timeout"])
+        raise runner.subprocess.TimeoutExpired(args, kwargs["timeout"],
+                                               stderr=b"stuck in the writer\n")
+
+    monkeypatch.setattr(runner.subprocess, "run", hang)
+    config = tiny_config(iterations=20, runs=2)
+    with pytest.raises(BenchmarkError, match="(?s)run 0 was killed after.*stuck in the writer"):
+        run_config(config, tmp_path)
+    assert timeouts == [runner.child_timeout_s(config)]
+    meta = json.loads((tmp_path / "tiny" / "run_0" / "metadata.json").read_text())
+    assert meta["failed"] is True
+    assert meta["stderr"] == "stuck in the writer\n"
+    assert not (tmp_path / "tiny" / "run_1").exists()
+
+
+def test_child_timeout_grows_with_iterations_depth_and_busy_time():
+    base = tiny_config(iterations=1000)
+    longer = [replace(base, iterations=2000),
+              replace(base, workload=replace(base.workload, depth=base.workload.depth + 1)),
+              replace(base, workload=replace(base.workload, busy_ns=10_000))]
+    assert all(runner.child_timeout_s(c) > runner.child_timeout_s(base) for c in longer)
 
 
 def test_kept_samples_drops_warmup_per_run():

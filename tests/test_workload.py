@@ -124,9 +124,12 @@ def test_params_validation():
 
 
 def test_monitored_application_imports_leave_out_numpy_and_the_harness():
-    code = ("import sys, minimon.pipeline, minimon.workload; "
-            "print(sorted({'numpy', 'minimon.runner', 'minimon.stats'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(Path(minimon.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    # The application leaves out the harness too; the CLI (run, sweep) only numpy.
+    for imports, unwanted in (("minimon.pipeline, minimon.workload",
+                               {"numpy", "minimon.runner", "minimon.stats"}),
+                              ("minimon.cli", {"numpy"})):
+        code = f"import sys, {imports}; print(sorted({unwanted!r} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout.strip() == "[]", imports
