@@ -19,6 +19,7 @@ from .pipeline import Pipeline, PipelineReport, WriterKind
 from .probes import ProbeKind
 from .runner import (
     SAMPLES_CSV_HEADER,
+    check_counters,
     config_from_dict,
     estimate_clock_resolution_ns,
 )
@@ -56,6 +57,7 @@ def run_child(child_config: dict) -> None:
     chain.flush()
     report = pipeline.shutdown() if pipeline is not None else PipelineReport()
     counters = asdict(report)
+    check_counters(counters, run_dir)
 
     # The checksum must be consumed so the call chain cannot be elided.
     if checksum == 0:

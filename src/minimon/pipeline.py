@@ -1,13 +1,13 @@
 """Monitoring pipeline: probe emissions -> bounded queue -> writer thread.
 
-The producing thread only ever calls ``new_monitoring_record`` (a queue
-put that wakes nobody); all serialization and file I/O happens on the
-single writer thread. The writer drains whole batches: it takes every
-record present, writes the batch with one ``write`` and one ``flush``,
-and counts it as written only once the flush returned. On an empty queue
-it sleeps about a millisecond. ``shutdown`` closes the queue, which then
-counts every put as dropped; the writer drains what was enqueued and
-leaves, and the file is closed.
+``start`` binds ``new_monitoring_record`` to the queue's put, which wakes
+nobody, so a probe emits straight into the queue. All serialization and
+file I/O happens on the single writer thread. It drains whole batches:
+it takes every record present, writes the batch with one ``write`` and
+one ``flush``, and counts it as written only once the flush returned. On
+an empty queue it sleeps about a millisecond. ``shutdown`` closes the
+queue, which then counts every put as dropped; the writer drains what
+was enqueued and leaves, and the file is closed.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class Pipeline:
         self.queue = None
         self._file = None
         self._writer_thread = None
-        self._gate = threading.Event()  # cleared by tests to pause the writer
+        self._gate = threading.Event()  # cleared to pause the writer (tests, perfbench)
         self._gate.set()
         self._written = 0
         self._failed = 0
@@ -80,6 +80,7 @@ class Pipeline:
         if self.config.writer is WriterKind.FILE:
             self._file = open(self.config.output_path, "w", encoding="utf-8")
         self.queue = queue
+        self.new_monitoring_record = queue.put
         self._writer_thread = threading.Thread(
             target=self._writer_loop, name="minimon-writer", daemon=True
         )
@@ -87,10 +88,8 @@ class Pipeline:
         return self
 
     def new_monitoring_record(self, record) -> None:
-        """Hand a record to the writer; never does I/O on the caller."""
-        if self.queue is None:
-            raise RuntimeError("pipeline not started")
-        self.queue.put(record)
+        """Refuse a record before ``start``, which replaces this with the queue's put."""
+        raise RuntimeError("pipeline not started")
 
     def _writer_loop(self) -> None:
         queue = self.queue

@@ -177,8 +177,6 @@ class CallContext:
 
     __slots__ = ("signature", "argument_descriptors", "_fn", "_args", "_kwargs")
 
-    allocated = 0  # class-wide allocation counter, for tests
-
     def __init__(self, signature: str, fn: Callable, args: tuple, kwargs: dict):
         self.signature = signature
         self.argument_descriptors = [repr(a) for a in args] + [
@@ -186,7 +184,6 @@ class CallContext:
         self._fn = fn
         self._args = args
         self._kwargs = kwargs
-        CallContext.allocated += 1
 
     def proceed(self):
         return _invoke(self._fn, self._args, self._kwargs)

@@ -2,8 +2,9 @@
 
 ``BlockingLinkedQueue`` blocks the producer when full. ``SyncRingQueue``
 is a ``deque(maxlen=capacity)`` ring that never blocks the producer:
-when full, the newest element overwrites the oldest (counted in
-``overwritten``).
+when full, the newest element overwrites the oldest. ``stats`` derives
+``overwritten`` as ``enqueued - dequeued - len``: only the ring evicts,
+so the put counts nothing but ``enqueued``.
 
 Both are safe for concurrent producers and one consumer. The hand-off is
 per batch, not per record: a put appends under one plain lock and wakes
@@ -59,7 +60,6 @@ class _BoundedQueue:
         self.closed = False
         self._enqueued = 0
         self._dequeued = 0
-        self._overwritten = 0
         self._dropped = 0
 
     def close(self) -> None:
@@ -71,14 +71,10 @@ class _BoundedQueue:
     def drain(self) -> list:
         """Remove and return every record present, oldest first."""
         with self._lock:
-            q = self._q
-            if not q:
-                return []
-            was_full = len(q) >= self.capacity
-            batch = list(q)
-            q.clear()
+            batch = list(self._q)
+            self._q.clear()
             self._dequeued += len(batch)
-            if was_full:
+            if len(batch) == self.capacity:  # it was full: wake blocked producers
                 self._not_full.notify_all()
             return batch
 
@@ -100,7 +96,8 @@ class _BoundedQueue:
 
     def stats(self) -> QueueStats:
         with self._lock:
-            return QueueStats(self._enqueued, self._dequeued, self._overwritten,
+            overwritten = self._enqueued - self._dequeued - len(self._q)
+            return QueueStats(self._enqueued, self._dequeued, overwritten,
                               self.capacity, self._dropped)
 
 
@@ -127,11 +124,7 @@ class SyncRingQueue(_BoundedQueue):
             if self.closed:
                 self._dropped += 1
                 return
-            q = self._q
-            if len(q) == self.capacity:
-                # Full: the append below evicts the oldest element.
-                self._overwritten += 1
-            q.append(record)
+            self._q.append(record)  # a full ring evicts its oldest
             self._enqueued += 1
 
 

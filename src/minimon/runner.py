@@ -19,7 +19,8 @@ Per run the child persists:
 
 Each run is checked as it lands, by the loader ``report`` uses: a failed
 run, counters that break ``enqueued == written + overwritten + failed`` or
-a bad ``samples.csv`` stops the suite at once.
+a bad ``samples.csv`` stops the suite at once. The child checks its
+counters with the same rule before it writes ``metadata.json``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "BenchmarkConfig",
     "SampleSet",
     "BenchmarkError",
+    "check_counters",
     "config_to_dict",
     "config_from_dict",
     "run_config",
@@ -284,6 +286,21 @@ def _read_samples_csv(path: Path, expected_rows: int | None = None) -> list[int]
     return samples
 
 
+def check_counters(counters, where) -> None:
+    """Refuse a run's counters unless ``enqueued == written + overwritten + failed``."""
+    try:
+        enqueued, written, overwritten = (
+            counters["enqueued"], counters["written"], counters["overwritten"])
+    except (KeyError, TypeError):
+        raise BenchmarkError(f"{where}: metadata.json has no pipeline counters") from None
+    # Runs recorded before the writer counted failures have no "failed".
+    failed = counters.get("failed", 0)
+    if enqueued != written + overwritten + failed:
+        raise BenchmarkError(
+            f"{where}: counters do not balance: enqueued {enqueued} != written "
+            f"{written} + overwritten {overwritten} + failed {failed}")
+
+
 def _load_run(run_dir: Path, expected_rows: int | None = None) -> tuple[dict, list[int]]:
     """One run's metadata and samples, refused unless its counters balance."""
     meta_path = run_dir / "metadata.json"
@@ -292,18 +309,7 @@ def _load_run(run_dir: Path, expected_rows: int | None = None) -> tuple[dict, li
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     if meta.get("failed"):
         raise BenchmarkError(f"{run_dir}: run is marked failed")
-    counters = meta.get("counters")
-    try:
-        enqueued, written, overwritten = (
-            counters["enqueued"], counters["written"], counters["overwritten"])
-    except (KeyError, TypeError):
-        raise BenchmarkError(f"{run_dir}: metadata.json has no pipeline counters") from None
-    # Runs recorded before the writer counted failures have no "failed".
-    failed = counters.get("failed", 0)
-    if enqueued != written + overwritten + failed:
-        raise BenchmarkError(
-            f"{run_dir}: counters do not balance: enqueued {enqueued} != written "
-            f"{written} + overwritten {overwritten} + failed {failed}")
+    check_counters(meta.get("counters"), run_dir)
     return meta, _read_samples_csv(run_dir / "samples.csv", expected_rows)
 
 

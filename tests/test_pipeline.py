@@ -52,8 +52,15 @@ def test_start_twice_is_error(tmp_path):
 
 def test_emit_before_start_is_error(tmp_path):
     pipeline = null_pipeline(tmp_path)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="not started"):
         pipeline.new_monitoring_record(DurationRecord("a()", 1))
+
+
+def test_started_pipeline_emits_through_the_queue_put(tmp_path):
+    pipeline = null_pipeline(tmp_path).start()
+    # No wrapper between a probe and the queue.
+    assert pipeline.new_monitoring_record == pipeline.queue.put
+    pipeline.shutdown()
 
 
 def test_record_after_shutdown_is_counted_drop(tmp_path):
@@ -207,8 +214,7 @@ def test_put_racing_shutdown_is_enqueued_and_written_or_dropped(tmp_path):
 
     pipeline.queue.put = held_put
     record = DurationRecord("a()", 1)
-    producer = threading.Thread(target=pipeline.new_monitoring_record, args=(record,),
-                                daemon=True)
+    producer = threading.Thread(target=pipeline.queue.put, args=(record,), daemon=True)
     producer.start()
     assert entered.wait(timeout=2)
     report = pipeline.shutdown()

@@ -166,13 +166,19 @@ def test_intercept_emits_record_on_exception():
     assert sink.records[0].tout >= sink.records[0].tin
 
 
-def test_intercept_allocates_context_per_invocation():
+def test_intercept_allocates_context_per_invocation(monkeypatch):
+    init, allocated = CallContext.__init__, []
+
+    def counting_init(self, *args):
+        allocated.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(CallContext, "__init__", counting_init)
     sink = Collector()
     wrapped = intercept(lambda: None, "f()", sink)
-    before = CallContext.allocated
     for _ in range(25):
         wrapped()
-    assert CallContext.allocated - before == 25
+    assert len(allocated) == 25
 
 
 def test_interceptor_records_match_direct_full_except_timestamps():

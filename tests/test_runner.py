@@ -4,8 +4,9 @@ from dataclasses import replace
 import pytest
 
 from minimon import runner
+from minimon._child import run_child
 from minimon.cli import load_suite
-from minimon.pipeline import PipelineConfig, WriterKind
+from minimon.pipeline import Pipeline, PipelineConfig, WriterKind
 from minimon.probes import ProbeKind
 from minimon.queues import QueueKind
 from minimon.runner import (
@@ -184,6 +185,21 @@ def test_run_config_rejects_unbalanced_counters_as_the_run_lands(tmp_path, monke
     config = tiny_config(probe=ProbeKind.DIRECT_DURATION, iterations=20, runs=2)
     with pytest.raises(BenchmarkError, match="run_1.*do not balance"):
         run_config(config, tmp_path)
+
+
+def test_child_refuses_unbalanced_counters_before_writing_metadata(tmp_path, monkeypatch):
+    real_shutdown = Pipeline.shutdown
+
+    def unbalanced_shutdown(self):
+        report = real_shutdown(self)
+        return replace(report, written=report.written - 1)
+
+    monkeypatch.setattr(Pipeline, "shutdown", unbalanced_shutdown)
+    config = tiny_config(probe=ProbeKind.DIRECT_DURATION, iterations=20, runs=1)
+    child_config = {"config": config_to_dict(config), "run": 0, "run_dir": str(tmp_path)}
+    with pytest.raises(BenchmarkError, match="do not balance"):
+        run_child(child_config)
+    assert not (tmp_path / "metadata.json").exists()
 
 
 def test_hung_child_is_killed_and_recorded_as_a_failed_run(tmp_path, monkeypatch):
