@@ -8,8 +8,10 @@ and (file writer) monitoring.log into the run directory.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import asdict
@@ -49,10 +51,12 @@ def run_child(child_config: dict) -> None:
 
     samples = [0] * n
     checksum = 0
+    gc_before = gc.get_stats()
     for i in range(n):
         t0 = clock()
         checksum += call(depth)
         samples[i] = clock() - t0 - busy_ns
+    gc_after = gc.get_stats()
 
     chain.flush()
     report = pipeline.shutdown() if pipeline is not None else PipelineReport()
@@ -85,6 +89,15 @@ def run_child(child_config: dict) -> None:
         "clock_resolution_ns": estimate_clock_resolution_ns(),
         "checksum": checksum,
         "monitoring_log_lines": log_lines,
+        "environment": {
+            "implementation": sys.implementation.name,
+            "python_version": platform.python_version(),
+            "cpu_count": os.cpu_count(),
+            "cpu_affinity": sorted(os.sched_getaffinity(0)),
+            "switch_interval_s": sys.getswitchinterval(),
+            "gc_collections": [after["collections"] - before["collections"]
+                               for before, after in zip(gc_before, gc_after)],
+        },
         "failed": False,
     }
     (run_dir / "metadata.json").write_text(

@@ -3,11 +3,13 @@
 ``start`` binds ``new_monitoring_record`` to the queue's put, which wakes
 nobody, so a probe emits straight into the queue. All serialization and
 file I/O happens on the single writer thread. It drains whole batches:
-it takes every record present, writes the batch with one ``write`` and
-one ``flush``, and counts it as written only once the flush returned. On
-an empty queue it sleeps about a millisecond. ``shutdown`` closes the
-queue, which then counts every put as dropped; the writer drains what
-was enqueued and leaves, and the file is closed.
+it takes every record present, serializes them with one
+``serialize_batch`` call (a refused record is counted as failed), writes
+the lines with one ``write`` and one ``flush``, and counts them as
+written only once the flush returned. On an empty queue it sleeps about
+a millisecond. ``shutdown`` closes the queue, which then counts every
+put as dropped; the writer drains what was enqueued and leaves, and the
+file is closed.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from enum import Enum
 
 from .probes import ProbeKind, DEFAULT_AGGREGATION_WINDOW
 from .queues import DEFAULT_CAPACITY, QueueKind, make_queue
-from .records import RecordFormatError, serialize
+from .records import serialize_batch
 
 __all__ = ["WriterKind", "PipelineConfig", "PipelineReport", "Pipeline"]
 
@@ -112,13 +114,8 @@ class Pipeline:
                 if file is None:
                     written += len(batch)
                     continue
-                lines = []
-                for record in batch:
-                    # One bad record must not spoil its batch or kill the writer.
-                    try:
-                        lines.append(serialize(record))
-                    except RecordFormatError:
-                        failed += 1
+                lines, refused = serialize_batch(batch)
+                failed += refused
                 if lines:
                     file.write("\n".join(lines) + "\n")
                     file.flush()

@@ -10,6 +10,8 @@ Three record kinds flow through the pipeline:
 
 Records serialize to single semicolon-delimited lines with a leading
 variant tag (``OER``, ``DUR``, ``AGG``). The format round-trips exactly.
+``serialize`` renders one record; the writer renders each batch with
+``serialize_batch``, which produces the same lines.
 
 The records are slotted but not frozen: every probe's hot path builds one
 per call, and a frozen ``__init__`` sets each field through
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Union
 
 __all__ = [
@@ -31,6 +34,7 @@ __all__ = [
     "MonitoringRecord",
     "RecordFormatError",
     "serialize",
+    "serialize_batch",
     "deserialize",
 ]
 
@@ -88,30 +92,96 @@ MonitoringRecord = Union[FullRecord, DurationRecord, AggregatedRecord]
 _UNSAFE = re.compile(r"[;\x00-\x1f\x7f]")
 
 
-def _check_signature(signature: str) -> None:
-    if _UNSAFE.search(signature) is None:
+def _check_signature(value: object) -> None:
+    # Exactly str: a subclass could render through its own __format__.
+    if type(value) is not str:
+        raise RecordFormatError(f"text field is not a str: {value!r}")
+    if _UNSAFE.search(value) is None:
         return
-    if ";" in signature:
-        raise RecordFormatError(f"signature contains delimiter: {signature!r}")
-    raise RecordFormatError(f"signature contains control character: {signature!r}")
+    if ";" in value:
+        raise RecordFormatError(f"signature contains delimiter: {value!r}")
+    raise RecordFormatError(f"signature contains control character: {value!r}")
+
+
+def _full_line(record: FullRecord) -> str:
+    return (
+        f"OER;{record.signature};{record.tin};{record.tout};"
+        f"{record.trace_id};{record.eoi};{record.ess};"
+        f"{record.hostname};{record.session_id}"
+    )
+
+
+def _duration_line(record: DurationRecord) -> str:
+    return f"DUR;{record.signature};{record.duration}"
+
+
+def _aggregated_line(record: AggregatedRecord) -> str:
+    return f"AGG;{record.signature};{record.count};{record.sum_duration}"
+
+
+def _signature_only(record) -> tuple[str]:
+    return (record.signature,)
+
+
+# Record type -> (its text fields as a tuple, its line). The one formatting
+# path: serialize and serialize_batch both go through it.
+_LAYOUTS = {
+    FullRecord: (attrgetter("signature", "hostname", "session_id"), _full_line),
+    DurationRecord: (_signature_only, _duration_line),
+    AggregatedRecord: (_signature_only, _aggregated_line),
+}
 
 
 def serialize(record: MonitoringRecord) -> str:
-    """Render a record as one text line (no trailing newline)."""
-    _check_signature(record.signature)
-    if type(record) is DurationRecord:
-        return f"DUR;{record.signature};{record.duration}"
-    if type(record) is AggregatedRecord:
-        return f"AGG;{record.signature};{record.count};{record.sum_duration}"
-    if type(record) is FullRecord:
-        _check_signature(record.hostname)
-        _check_signature(record.session_id)
-        return (
-            f"OER;{record.signature};{record.tin};{record.tout};"
-            f"{record.trace_id};{record.eoi};{record.ess};"
-            f"{record.hostname};{record.session_id}"
-        )
-    raise RecordFormatError(f"not a monitoring record: {record!r}")
+    """Render a record as one text line (no trailing newline).
+
+    Raises RecordFormatError for anything that is not a monitoring record,
+    and for a text field that is not a str or holds the delimiter or a
+    control character.
+    """
+    layout = _LAYOUTS.get(type(record))
+    if layout is None:
+        raise RecordFormatError(f"not a monitoring record: {record!r}")
+    text_fields, line = layout
+    for value in text_fields(record):
+        _check_signature(value)
+    return line(record)
+
+
+def serialize_batch(records) -> tuple[list[str], int]:
+    """Render a batch: ``(lines, failed)``.
+
+    ``lines`` are ``serialize(r)``, in order, for every record it accepts;
+    ``failed`` counts the records it refuses, which spoil nothing else.
+    Each distinct text value is checked once per call: a batch of records
+    from one probe repeats the same few strings. A value equal to one
+    already checked passes unchecked, so a str subclass instance equal to
+    an earlier plain str is accepted here, where ``serialize`` refuses it.
+    """
+    lines = []
+    failed = 0
+    checked = set()  # text values of this batch that passed _check_signature
+    for record in records:
+        layout = _LAYOUTS.get(type(record))
+        if layout is None:
+            failed += 1
+            continue
+        text_fields, line = layout
+        values = text_fields(record)
+        try:
+            known = checked.issuperset(values)
+        except TypeError:  # an unhashable value, so no str: the check refuses it
+            known = False
+        if not known:
+            try:
+                for value in values:
+                    _check_signature(value)
+            except RecordFormatError:
+                failed += 1
+                continue
+            checked.update(values)
+        lines.append(line(record))
+    return lines, failed
 
 
 def deserialize(line: str) -> MonitoringRecord:

@@ -13,7 +13,9 @@ Per run the child persists:
   row per iteration; duration is the measured root-call time minus the
   configured leaf busy time.
 * ``metadata.json`` -- config echo, process id, pipeline counters,
-  clock resolution estimate, workload checksum.
+  clock resolution estimate, workload checksum, and the environment:
+  interpreter, CPU count and affinity, GIL switch interval, and garbage
+  collections per generation during the measured loop.
 * ``monitoring.log`` -- the monitoring output (file writer only; can be
   dropped after line-counting via ``keep_monitoring_log=False``).
 

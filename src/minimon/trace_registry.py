@@ -25,11 +25,22 @@ def reset_trace_id_allocator() -> None:
     _trace_ids = itertools.count()
 
 
-class _Context(threading.local):
+class _State:
+    """One thread's counters: plain slots, not thread-local attributes."""
+
+    __slots__ = ("trace_id", "next_eoi", "ess")
+
     def __init__(self):
         self.trace_id = NO_TRACE
         self.next_eoi = 0
         self.ess = 0
+
+
+class _Context(threading.local):
+    # An attribute of a threading.local costs several times a slot, so each
+    # method reads this once and then works on the thread's _State.
+    def __init__(self):
+        self.state = _State()
 
 
 class TraceRegistry:
@@ -44,33 +55,34 @@ class TraceRegistry:
 
     def recall_trace_id(self) -> int:
         """Current thread's trace id, or -1 when no trace is active."""
-        return self._ctx.trace_id
+        return self._ctx.state.trace_id
 
     def begin_trace(self) -> int:
         """Start a new trace on this thread and return its id."""
-        ctx = self._ctx
-        if ctx.trace_id != NO_TRACE:
-            raise RuntimeError(f"trace {ctx.trace_id} already active")
-        ctx.trace_id = next(_trace_ids)
-        ctx.next_eoi = 0
-        ctx.ess = 0
-        return ctx.trace_id
+        state = self._ctx.state
+        if state.trace_id != NO_TRACE:
+            raise RuntimeError(f"trace {state.trace_id} already active")
+        state.trace_id = trace_id = next(_trace_ids)
+        state.next_eoi = 0
+        state.ess = 0
+        return trace_id
 
     def enter_method(self) -> tuple[int, int]:
         """Record a method entry; returns (eoi, ess) for the entry."""
-        ctx = self._ctx
-        eoi = ctx.next_eoi
-        ess = ctx.ess
-        ctx.next_eoi = eoi + 1
-        ctx.ess = ess + 1
+        state = self._ctx.state
+        eoi = state.next_eoi
+        ess = state.ess
+        state.next_eoi = eoi + 1
+        state.ess = ess + 1
         return eoi, ess
 
     def exit_method(self) -> None:
         """Record a method exit; ends the trace when the stack empties."""
-        ctx = self._ctx
-        if ctx.ess <= 0:
+        state = self._ctx.state
+        ess = state.ess - 1
+        if ess < 0:
             raise RuntimeError("exit_method without matching enter_method")
-        ctx.ess -= 1
-        if ctx.ess == 0:
-            ctx.trace_id = NO_TRACE
-            ctx.next_eoi = 0
+        state.ess = ess
+        if ess == 0:
+            state.trace_id = NO_TRACE
+            state.next_eoi = 0

@@ -189,6 +189,19 @@ def test_bad_record_mid_batch_spoils_neither_neighbours_nor_order(tmp_path):
     assert [deserialize(line) for line in lines] == good
 
 
+def test_non_str_text_field_and_non_record_are_failed_not_fatal(tmp_path):
+    pipeline = file_pipeline(tmp_path, capacity=16).start()
+    pipeline.pause_writer()
+    time.sleep(0.05)  # the writer reaches the gate: one batch
+    good = [DurationRecord("ok", 1), DurationRecord("ok2", 1), DurationRecord("ok3", 1)]
+    for record in [good[0], DurationRecord(None, 1), good[1], object(), good[2]]:
+        pipeline.new_monitoring_record(record)
+    report = pipeline.shutdown()  # the writer survived: no RuntimeError
+    assert (report.enqueued, report.written, report.failed) == (5, 3, 2)
+    lines = (tmp_path / "m.log").read_text().splitlines()
+    assert [deserialize(line) for line in lines] == good
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_failed_flush_counts_no_record_as_written():
     pipeline = Pipeline(PipelineConfig(

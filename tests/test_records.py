@@ -11,6 +11,7 @@ from minimon.records import (
     RecordFormatError,
     deserialize,
     serialize,
+    serialize_batch,
 )
 
 signatures = st.text(
@@ -112,6 +113,19 @@ def test_text_field_rule_per_code_point(field):
                 assert deserialize(serialize(record)) == record
 
 
+@pytest.mark.parametrize("record", [
+    object(),
+    None,
+    DurationRecord(None, 1),
+    AggregatedRecord(b"a()", 1, 1),
+    FullRecord("a()", 1, 2, 3, 0, 0, ["unhashable"], "s"),
+    FullRecord("a()", 1, 2, 3, 0, 0, "h", 7),
+])
+def test_non_record_or_non_str_text_field_rejected(record):
+    with pytest.raises(RecordFormatError):
+        serialize(record)
+
+
 def test_records_compare_and_hash_by_value():
     record = FullRecord("a.b()", 100, 250, 7, 0, 0, "h", "s")
     assert len({record, deserialize(serialize(record))}) == 1
@@ -141,3 +155,33 @@ def test_round_trip(record):
 def test_serialization_injective(records):
     lines = [serialize(r) for r in records]
     assert len(set(lines)) == len(records)
+
+
+# A record serialize refuses: a non-str or unsafe text field, or no record.
+bad_text = st.one_of(
+    st.none(), st.integers(), st.binary(max_size=3), st.lists(st.text(max_size=2), max_size=2),
+    st.sampled_from([";", "a;b", "\n", "x\x00", "\x7f"]))
+bad_records = st.one_of(
+    st.builds(object),
+    st.lists(st.integers(), max_size=2),
+    st.builds(DurationRecord, signature=bad_text, duration=nonneg),
+    st.builds(AggregatedRecord, signature=bad_text, count=st.integers(min_value=1, max_value=9),
+              sum_duration=nonneg),
+    st.builds(lambda record, field, value: replace(record, **{field: value}),
+              full_records(), st.sampled_from(["signature", "hostname", "session_id"]), bad_text),
+)
+
+
+@given(st.lists(st.one_of(any_record, bad_records), max_size=30), st.data())
+@settings(max_examples=300)
+def test_serialize_batch_matches_per_record_serialize(batch, data):
+    # Repeats, so values the batch already checked come round again.
+    if batch:
+        batch += data.draw(st.lists(st.sampled_from(batch), max_size=10))
+    expected, refused = [], 0
+    for record in batch:  # the per-record loop is the oracle
+        try:
+            expected.append(serialize(record))
+        except RecordFormatError:
+            refused += 1
+    assert serialize_batch(batch) == (expected, refused)

@@ -1,4 +1,7 @@
 import json
+import os
+import platform
+import sys
 from dataclasses import replace
 
 import pytest
@@ -107,6 +110,27 @@ def test_run_config_produces_raw_files(tmp_path):
         assert meta["pid"] > 0
         assert meta["checksum"] > 0
         assert meta["clock_resolution_ns"] >= 1
+
+
+def test_metadata_records_the_childs_environment(tmp_path):
+    full = tiny_config(config_id="full", probe=ProbeKind.DIRECT_FULL, depth=10,
+                       iterations=2000, runs=1)
+    idle = tiny_config(config_id="idle", iterations=50, runs=1)
+    environments = {}
+    for config in (full, idle):
+        run_config(config, tmp_path)
+        meta = json.loads((tmp_path / config.config_id / "run_0" / "metadata.json").read_text())
+        environments[config.config_id] = meta["environment"]
+    env = environments["full"]
+    assert env["implementation"] == sys.implementation.name
+    assert env["python_version"] == platform.python_version()
+    assert env["cpu_count"] == os.cpu_count()
+    assert env["cpu_affinity"] == sorted(os.sched_getaffinity(0))
+    assert env["switch_interval_s"] == 0.005  # a fresh interpreter's default
+    # Collections during the measured loop only: 20 000 records make some,
+    # while 50 unmonitored calls allocate nothing the collector tracks.
+    assert len(env["gc_collections"]) == 3 and env["gc_collections"][0] > 0
+    assert environments["idle"]["gc_collections"] == [0, 0, 0]
 
 
 def test_runs_come_from_distinct_processes(tmp_path):

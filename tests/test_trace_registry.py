@@ -1,5 +1,7 @@
 import random
+import sys
 import threading
+import time
 
 import pytest
 
@@ -130,3 +132,46 @@ def test_ess_matches_explicit_stack_model():
         # eoi values are exactly 0..n-1 in call order within the trace
         assert eoi_seen == list(range(len(eoi_seen)))
         assert reg.recall_trace_id() == NO_TRACE
+
+
+def test_shared_registry_keeps_each_threads_state_under_forced_switching():
+    # More threads than cores and a tiny switch interval, so threads swap
+    # between every few bytecodes; each must still see only its own state.
+    reg = TraceRegistry()
+    deadline = time.monotonic() + 1.0
+    trace_ids, errors = [], []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        mine = []
+        try:
+            while time.monotonic() < deadline:
+                mine.append(reg.begin_trace())
+                depth = 0  # the stack model: eoi counts entries, ess nesting
+                for eoi in range(rng.randint(1, 12)):
+                    assert reg.enter_method() == (eoi, depth)
+                    depth += 1
+                    if rng.random() < 0.3 and depth > 1:
+                        reg.exit_method()
+                        depth -= 1
+                    assert reg.recall_trace_id() == mine[-1]
+                for _ in range(depth):
+                    reg.exit_method()
+                assert reg.recall_trace_id() == NO_TRACE
+        except AssertionError as exc:
+            errors.append(exc)
+        trace_ids.extend(mine)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert errors == []
+    assert len(trace_ids) == len(set(trace_ids)) > 6
