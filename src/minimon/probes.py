@@ -1,15 +1,19 @@
 """Measurement probes in the four styles whose overhead the harness compares.
 
-* ``DirectFullProbe`` -- inlined enter/exit calls producing FullRecords
-  with trace metadata.
-* ``DirectDurationProbe`` -- inlined enter/exit producing minimal
-  DurationRecords, touching no trace state.
+The three direct probes share one interface: ``enter()`` returns a token
+and ``exit(signature, token)`` emits what the call produced, so one
+monitored method with inline probe statements serves all three.
+
+* ``DirectFullProbe`` -- FullRecords with trace metadata; its token
+  carries the entry timestamp and the trace position.
+* ``DirectDurationProbe`` -- minimal DurationRecords, touching no trace
+  state.
 * ``AggregatingProbe`` -- sums durations per signature and emits one
   AggregatedRecord per window of W invocations.
 * ``intercept`` -- a generic interception layer (per-call context
-  allocation, dynamic dispatch, extra call indirection) emitting the
-  same FullRecords a direct probe would; models the cost of
-  aspect-weaving style instrumentation.
+  allocation, dynamic dispatch, extra call indirection) that adapts a
+  ``DirectFullProbe`` and so emits the same FullRecords; models the cost
+  of aspect-weaving style instrumentation.
 
 Durations come from a monotonic nanosecond clock, never wall-clock time.
 The duration and aggregating probes' ``enter`` is that clock itself, so
@@ -95,17 +99,17 @@ class DirectFullProbe:
         self._emit = emit
         self.registry = registry if registry is not None else TraceRegistry()
 
-    def enter(self, signature: str):
+    def enter(self):
         registry = self.registry
         trace_id = registry.recall_trace_id()
         if trace_id == NO_TRACE:
             trace_id = registry.begin_trace()
         eoi, ess = registry.enter_method()
-        return signature, monotonic_ns(), trace_id, eoi, ess
+        return monotonic_ns(), trace_id, eoi, ess
 
-    def exit(self, token) -> None:
+    def exit(self, signature: str, token) -> None:
         tout = monotonic_ns()
-        signature, tin, trace_id, eoi, ess = token
+        tin, trace_id, eoi, ess = token
         self._emit(FullRecord(signature, tin, tout, trace_id, eoi, ess,
                               BENCH_HOSTNAME, BENCH_SESSION_ID))
         self.registry.exit_method()
@@ -207,10 +211,10 @@ class FullRecordInterceptor(Interceptor):
         self._probe = DirectFullProbe(emit, registry)
 
     def before(self, context: CallContext):
-        return self._probe.enter(context.signature)
+        return self._probe.enter()
 
     def after(self, context: CallContext, token) -> None:
-        self._probe.exit(token)
+        self._probe.exit(context.signature, token)
 
 
 def _invoke(fn: Callable, args: tuple, kwargs: dict):

@@ -308,7 +308,12 @@ def _load_run(run_dir: Path, expected_rows: int | None = None) -> tuple[dict, li
     meta_path = run_dir / "metadata.json"
     if not meta_path.exists():
         raise BenchmarkError(f"{run_dir}: missing metadata.json")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise BenchmarkError(f"{meta_path}: invalid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise BenchmarkError(f"{meta_path}: metadata must be a JSON object")
     if meta.get("failed"):
         raise BenchmarkError(f"{run_dir}: run is marked failed")
     check_counters(meta.get("counters"), run_dir)

@@ -5,10 +5,12 @@ on the monotonic clock for ``busy_ns`` nanoseconds and returns its entry
 timestamp, which propagates back up the chain so the harness can consume
 it (checksum) and the chain cannot be optimized away.
 
-Probe statements are chosen at construction time: direct probes are
-plain inlined enter/exit calls inside the recursive method; the
-interceptor variant routes every recursion level through the generic
-interception layer instead.
+The monitored method comes in the paper's two shapes, chosen at
+construction time. The direct probes share one method with the probe
+statements inline, ``token = enter()`` on entry and
+``exit(signature, token)`` on the way out. ``none`` runs the plain
+method bare, and ``interceptor-full`` routes every recursion level of
+that same plain method through the generic interception layer.
 """
 
 from __future__ import annotations
@@ -77,24 +79,23 @@ class CallChain:
         signature = self.signature
         emit = pipeline.new_monitoring_record if pipeline is not None else None
 
-        if probe_kind is ProbeKind.NONE:
-            def method(d):
-                if d > 1:
-                    return method(d - 1)
-                entry = clock()
-                while clock() - entry < busy_ns:
-                    pass
-                return entry
-
-            return method
-
         if probe_kind is ProbeKind.DIRECT_FULL:
             probe = DirectFullProbe(emit, self.registry)
+        elif probe_kind is ProbeKind.DIRECT_DURATION:
+            probe = DirectDurationProbe(emit)
+        elif probe_kind is ProbeKind.DIRECT_AGGREGATING:
+            probe = self._agg_probe = AggregatingProbe(
+                emit, pipeline.config.aggregation_window)
+        else:
+            probe = None
+
+        if probe is not None:
+            # Source instrumentation: the probe statements are inline.
             enter = probe.enter
             exit_ = probe.exit
 
             def method(d):
-                token = enter(signature)
+                token = enter()
                 try:
                     if d > 1:
                         return method(d - 1)
@@ -103,45 +104,25 @@ class CallChain:
                         pass
                     return entry
                 finally:
-                    exit_(token)
+                    exit_(signature, token)
 
             return method
 
-        if probe_kind is ProbeKind.INTERCEPTOR_FULL:
-            # Recursion goes through the interception proxy, so every
-            # level pays the full interception cost.
-            def raw(d):
-                if d > 1:
-                    return proxied(d - 1)
-                entry = clock()
-                while clock() - entry < busy_ns:
-                    pass
-                return entry
+        # The plain method recurses through ``level``: itself when
+        # uninstrumented, the interception proxy otherwise, so that every
+        # level pays the full interception cost.
+        def raw(d):
+            if d > 1:
+                return level(d - 1)
+            entry = clock()
+            while clock() - entry < busy_ns:
+                pass
+            return entry
 
-            proxied = intercept(raw, signature, emit, self.registry)
-            return proxied
-
-        # Duration and aggregating probes share one enter/exit shape.
-        if probe_kind is ProbeKind.DIRECT_DURATION:
-            probe = DirectDurationProbe(emit)
-        elif probe_kind is ProbeKind.DIRECT_AGGREGATING:
-            probe = AggregatingProbe(emit, pipeline.config.aggregation_window)
-            self._agg_probe = probe
+        if probe_kind is ProbeKind.NONE:
+            level = raw
+        elif probe_kind is ProbeKind.INTERCEPTOR_FULL:
+            level = intercept(raw, signature, emit, self.registry)
         else:
             raise ValueError(f"unknown probe kind: {probe_kind!r}")
-        enter = probe.enter
-        exit_ = probe.exit
-
-        def method(d):
-            tin = enter()
-            try:
-                if d > 1:
-                    return method(d - 1)
-                entry = clock()
-                while clock() - entry < busy_ns:
-                    pass
-                return entry
-            finally:
-                exit_(signature, tin)
-
-        return method
+        return level

@@ -149,11 +149,13 @@ def test_report_metadata_without_config_names_run_dir(tmp_path, capsys):
     meta_path = out / "dur" / "run_0" / "metadata.json"
     meta = json.loads(meta_path.read_text())
     del meta["config"]
-    meta_path.write_text(json.dumps(meta))
-    assert main(["report", "--in", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("minimon: error: ")
-    assert str(meta_path.parent) in err and "config" in err
+    for text, named in ((json.dumps(meta), "config"), ("{", "invalid JSON"),
+                        ("[]", "JSON object")):
+        meta_path.write_text(text)
+        assert main(["report", "--in", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("minimon: error: ")
+        assert str(meta_path.parent) in err and named in err
 
 
 def test_sweep_and_plot(tmp_path, capsys):

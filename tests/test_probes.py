@@ -27,8 +27,8 @@ class Collector:
 def test_direct_full_depth_one():
     sink = Collector()
     probe = DirectFullProbe(sink)
-    token = probe.enter("a()")
-    probe.exit(token)
+    token = probe.enter()
+    probe.exit("a()", token)
     (record,) = sink.records
     assert isinstance(record, FullRecord)
     assert (record.eoi, record.ess) == (0, 0)
@@ -38,9 +38,9 @@ def test_direct_full_depth_one():
 def test_direct_full_depth_ten_chain():
     sink = Collector()
     probe = DirectFullProbe(sink)
-    tokens = [probe.enter("a()") for _ in range(10)]
+    tokens = [probe.enter() for _ in range(10)]
     for token in reversed(tokens):
-        probe.exit(token)
+        probe.exit("a()", token)
     assert len(sink.records) == 10
     # exit order is innermost-first; sort back to call order by eoi
     by_call = sorted(sink.records, key=lambda r: r.eoi)
@@ -186,13 +186,13 @@ def test_interceptor_records_match_direct_full_except_timestamps():
     direct_probe = DirectFullProbe(direct_sink, TraceRegistry())
 
     def run_direct(d):
-        token = direct_probe.enter("m()")
+        token = direct_probe.enter()
         try:
             if d > 1:
                 return run_direct(d - 1)
             return 0
         finally:
-            direct_probe.exit(token)
+            direct_probe.exit("m()", token)
 
     intercept_sink = Collector()
 

@@ -97,6 +97,32 @@ def test_returns_leaf_timestamp(pipeline):
     assert before <= ts <= after
 
 
+@pytest.mark.parametrize("probe_kind", list(ProbeKind), ids=lambda kind: kind.value)
+def test_every_probe_kind_times_its_leaf_and_records_each_level(probe_kind, tmp_path):
+    depth, calls, busy_ns = 4, 5, 50_000
+    signature = "test.Chain.level()"
+    p = Pipeline(PipelineConfig(writer=WriterKind.NULL, aggregation_window=3,
+                                output_path=str(tmp_path / "m.log"))).start()
+    collected = []
+    emit = p.new_monitoring_record
+    p.new_monitoring_record = collected.append
+    chain = CallChain(probe_kind, p, WorkloadParams(depth, busy_ns), signature)
+    p.new_monitoring_record = emit
+    for _ in range(calls):
+        before = time.perf_counter_ns()
+        entry = chain.call()
+        after = time.perf_counter_ns()
+        assert before <= entry <= after - busy_ns
+    chain.flush()
+    p.shutdown()
+    assert all(r.signature == signature for r in collected)
+    if probe_kind is ProbeKind.DIRECT_AGGREGATING:
+        assert len(collected) == 7  # 20 calls in windows of 3: six full, one residual
+        assert sum(r.count for r in collected) == depth * calls
+    else:
+        assert len(collected) == (0 if probe_kind is ProbeKind.NONE else depth * calls)
+
+
 def test_aggregating_emission_count(pipeline, tmp_path):
     p = Pipeline(PipelineConfig(probe=ProbeKind.DIRECT_AGGREGATING,
                                 writer=WriterKind.NULL, aggregation_window=10,
