@@ -117,9 +117,11 @@ class Pipeline:
                 lines, refused = serialize_batch(batch)
                 failed += refused
                 if lines:
-                    file.write("\n".join(lines) + "\n")
+                    written_now = len(lines)
+                    lines.append("")  # the trailing newline, without a second copy
+                    file.write("\n".join(lines))
                     file.flush()
-                    written += len(lines)
+                    written += written_now
         except Exception as exc:  # re-raised by shutdown
             self._error = exc
         finally:

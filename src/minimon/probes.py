@@ -5,7 +5,8 @@ and ``exit(signature, token)`` emits what the call produced, so one
 monitored method with inline probe statements serves all three.
 
 * ``DirectFullProbe`` -- FullRecords with trace metadata; its token
-  carries the entry timestamp and the trace position.
+  carries the entry timestamp and the trace position, which one registry
+  call per entry hands out (starting a trace at the outermost entry).
 * ``DirectDurationProbe`` -- minimal DurationRecords, touching no trace
   state.
 * ``AggregatingProbe`` -- sums durations per signature and emits one
@@ -28,7 +29,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .records import AggregatedRecord, DurationRecord, FullRecord
-from .trace_registry import NO_TRACE, TraceRegistry
+from .trace_registry import TraceRegistry
 
 __all__ = [
     "ProbeKind",
@@ -100,11 +101,7 @@ class DirectFullProbe:
         self.registry = registry if registry is not None else TraceRegistry()
 
     def enter(self):
-        registry = self.registry
-        trace_id = registry.recall_trace_id()
-        if trace_id == NO_TRACE:
-            trace_id = registry.begin_trace()
-        eoi, ess = registry.enter_method()
+        trace_id, eoi, ess = self.registry.enter_method()
         return monotonic_ns(), trace_id, eoi, ess
 
     def exit(self, signature: str, token) -> None:

@@ -11,19 +11,23 @@ Three record kinds flow through the pipeline:
 Records serialize to single semicolon-delimited lines with a leading
 variant tag (``OER``, ``DUR``, ``AGG``). The format round-trips exactly.
 ``serialize`` renders one record; the writer renders each batch with
-``serialize_batch``, which produces the same lines.
+``serialize_batch``, which produces the same lines through the same
+per-type formatter, one comprehension per run of records of one type.
 
 The records are slotted but not frozen: every probe's hot path builds one
 per call, and a frozen ``__init__`` sets each field through
 ``object.__setattr__``, which costs several times a plain slot store.
 They still compare and hash by value; nothing assigns to a field after
-construction.
+construction. ``FullRecord``, built once per level of a monitored chain,
+checks its fields in its own ``__init__`` rather than a ``__post_init__``,
+so building one takes one Python frame instead of two.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
 from operator import attrgetter
 from typing import Union
 
@@ -43,7 +47,7 @@ class RecordFormatError(ValueError):
     """Raised for unserializable records or unparseable record lines."""
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class FullRecord:
     signature: str
     tin: int
@@ -54,12 +58,21 @@ class FullRecord:
     hostname: str
     session_id: str
 
-    def __post_init__(self):
+    def __init__(self, signature: str, tin: int, tout: int, trace_id: int,
+                 eoi: int, ess: int, hostname: str, session_id: str):
         # Cheap integer checks only; the hot path constructs these.
-        if self.tout < self.tin:
-            raise ValueError(f"tout {self.tout} < tin {self.tin}")
-        if self.eoi < 0 or self.ess < 0:
-            raise ValueError(f"negative eoi/ess: {self.eoi}/{self.ess}")
+        if tout < tin:
+            raise ValueError(f"tout {tout} < tin {tin}")
+        if eoi < 0 or ess < 0:
+            raise ValueError(f"negative eoi/ess: {eoi}/{ess}")
+        self.signature = signature
+        self.tin = tin
+        self.tout = tout
+        self.trace_id = trace_id
+        self.eoi = eoi
+        self.ess = ess
+        self.hostname = hostname
+        self.session_id = session_id
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -103,32 +116,31 @@ def _check_signature(value: object) -> None:
     raise RecordFormatError(f"signature contains control character: {value!r}")
 
 
-def _full_line(record: FullRecord) -> str:
-    return (
-        f"OER;{record.signature};{record.tin};{record.tout};"
-        f"{record.trace_id};{record.eoi};{record.ess};"
-        f"{record.hostname};{record.session_id}"
-    )
+def _full_lines(records) -> list[str]:
+    return [
+        f"OER;{r.signature};{r.tin};{r.tout};{r.trace_id};{r.eoi};{r.ess};"
+        f"{r.hostname};{r.session_id}"
+        for r in records
+    ]
 
 
-def _duration_line(record: DurationRecord) -> str:
-    return f"DUR;{record.signature};{record.duration}"
+def _duration_lines(records) -> list[str]:
+    return [f"DUR;{r.signature};{r.duration}" for r in records]
 
 
-def _aggregated_line(record: AggregatedRecord) -> str:
-    return f"AGG;{record.signature};{record.count};{record.sum_duration}"
+def _aggregated_lines(records) -> list[str]:
+    return [f"AGG;{r.signature};{r.count};{r.sum_duration}" for r in records]
 
 
-def _signature_only(record) -> tuple[str]:
-    return (record.signature,)
+_signature = attrgetter("signature")
 
-
-# Record type -> (its text fields as a tuple, its line). The one formatting
-# path: serialize and serialize_batch both go through it.
+# Record type -> (a getter per text field, the formatter of a list of such
+# records). The one formatting path: serialize and serialize_batch both go
+# through it.
 _LAYOUTS = {
-    FullRecord: (attrgetter("signature", "hostname", "session_id"), _full_line),
-    DurationRecord: (_signature_only, _duration_line),
-    AggregatedRecord: (_signature_only, _aggregated_line),
+    FullRecord: ((_signature, attrgetter("hostname"), attrgetter("session_id")), _full_lines),
+    DurationRecord: ((_signature,), _duration_lines),
+    AggregatedRecord: ((_signature,), _aggregated_lines),
 }
 
 
@@ -142,10 +154,10 @@ def serialize(record: MonitoringRecord) -> str:
     layout = _LAYOUTS.get(type(record))
     if layout is None:
         raise RecordFormatError(f"not a monitoring record: {record!r}")
-    text_fields, line = layout
-    for value in text_fields(record):
-        _check_signature(value)
-    return line(record)
+    text_fields, format_run = layout
+    for field in text_fields:
+        _check_signature(field(record))
+    return format_run((record,))[0]
 
 
 def serialize_batch(records) -> tuple[list[str], int]:
@@ -153,34 +165,35 @@ def serialize_batch(records) -> tuple[list[str], int]:
 
     ``lines`` are ``serialize(r)``, in order, for every record it accepts;
     ``failed`` counts the records it refuses, which spoil nothing else.
-    Each distinct text value is checked once per call: a batch of records
-    from one probe repeats the same few strings. A value equal to one
-    already checked passes unchecked, so a str subclass instance equal to
-    an earlier plain str is accepted here, where ``serialize`` refuses it.
+    The batch is taken in runs of one record type. A run's text fields are
+    checked once per distinct value, since a batch from one probe repeats
+    the same few strings, and a clean run is formatted with one call; a run
+    holding a refused or unhashable value goes through ``serialize`` record
+    by record. Values are deduplicated by equality, so a str subclass
+    instance equal to a plain str in the same run is accepted here, where
+    ``serialize`` refuses it.
     """
     lines = []
     failed = 0
-    checked = set()  # text values of this batch that passed _check_signature
-    for record in records:
-        layout = _LAYOUTS.get(type(record))
+    for kind, group in groupby(records, type):
+        run = list(group)
+        layout = _LAYOUTS.get(kind)
         if layout is None:
-            failed += 1
+            failed += len(run)
             continue
-        text_fields, line = layout
-        values = text_fields(record)
+        text_fields, format_run = layout
         try:
-            known = checked.issuperset(values)
-        except TypeError:  # an unhashable value, so no str: the check refuses it
-            known = False
-        if not known:
-            try:
-                for value in values:
+            for field in text_fields:
+                for value in set(map(field, run)):
                     _check_signature(value)
-            except RecordFormatError:
-                failed += 1
-                continue
-            checked.update(values)
-        lines.append(line(record))
+        except (RecordFormatError, TypeError):  # TypeError: an unhashable value
+            for record in run:
+                try:
+                    lines.append(serialize(record))
+                except RecordFormatError:
+                    failed += 1
+            continue
+        lines += format_run(run)
     return lines, failed
 
 

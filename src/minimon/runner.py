@@ -320,11 +320,17 @@ def _load_run(run_dir: Path, expected_rows: int | None = None) -> tuple[dict, li
     return meta, _read_samples_csv(run_dir / "samples.csv", expected_rows)
 
 
+def _run_index(entry: Path) -> int:
+    index = entry.name[len("run_"):]
+    if not index.isdecimal():
+        raise BenchmarkError(f"{entry}: not a run directory; run names are run_<index>")
+    return int(index)
+
+
 def load_sample_set(result_dir: str | Path) -> tuple[SampleSet, list[dict]]:
     """Load a persisted result directory; returns (samples, run metadata)."""
     result_dir = Path(result_dir)
-    run_dirs = sorted(result_dir.glob("run_*"),
-                      key=lambda p: int(p.name.split("_")[1]))
+    run_dirs = sorted(result_dir.glob("run_*"), key=_run_index)
     if not run_dirs:
         raise BenchmarkError(f"{result_dir}: no run directories found")
     loaded = [_load_run(run_dir) for run_dir in run_dirs]

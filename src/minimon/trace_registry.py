@@ -2,7 +2,8 @@
 
 Each thread owns one context; only the trace-id allocator is shared.
 A trace id of -1 means no trace is active on this thread. A trace starts
-explicitly via :meth:`TraceRegistry.begin_trace` and ends automatically
+on the first :meth:`TraceRegistry.enter_method` with none active (or
+explicitly via :meth:`TraceRegistry.begin_trace`) and ends automatically
 when the execution stack size returns to zero.
 """
 
@@ -67,14 +68,22 @@ class TraceRegistry:
         state.ess = 0
         return trace_id
 
-    def enter_method(self) -> tuple[int, int]:
-        """Record a method entry; returns (eoi, ess) for the entry."""
+    def enter_method(self) -> tuple[int, int, int]:
+        """Record a method entry; returns (trace_id, eoi, ess) for the entry.
+
+        Starts a new trace when none is active on this thread.
+        """
         state = self._ctx.state
+        trace_id = state.trace_id
+        if trace_id == NO_TRACE:
+            # No active trace means eoi and ess are 0 already: only
+            # exit_method ends a trace, and it does so at ess 0.
+            state.trace_id = trace_id = next(_trace_ids)
         eoi = state.next_eoi
         ess = state.ess
         state.next_eoi = eoi + 1
         state.ess = ess + 1
-        return eoi, ess
+        return trace_id, eoi, ess
 
     def exit_method(self) -> None:
         """Record a method exit; ends the trace when the stack empties."""

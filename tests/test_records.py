@@ -185,3 +185,62 @@ def test_serialize_batch_matches_per_record_serialize(batch, data):
         except RecordFormatError:
             refused += 1
     assert serialize_batch(batch) == (expected, refused)
+
+
+def _per_record(batch):
+    """The oracle: ``serialize`` record by record."""
+    expected, refused = [], 0
+    for record in batch:
+        try:
+            expected.append(serialize(record))
+        except RecordFormatError:
+            refused += 1
+    return expected, refused
+
+
+def _full_run(n):
+    # One probe's records, as the writer drains them: a shared signature,
+    # host and session, distinct timestamps and trace positions.
+    return [FullRecord("bench.m()", i, i + 7, i // 10, i % 10, i % 10, "h", "s") for i in range(n)]
+
+
+_REFUSED = {
+    "delimiter": lambda record: replace(record, signature="bench;m()"),
+    "non-str hostname": lambda record: replace(record, hostname=7),
+    "unhashable session_id": lambda record: replace(record, session_id=["s"]),
+    "not a record": lambda record: object(),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(_REFUSED))
+@given(position=st.integers(min_value=0, max_value=1999))
+@settings(max_examples=10, deadline=None)
+def test_serialize_batch_of_writer_size_refuses_only_the_bad_record(refusal, position):
+    batch = _full_run(2000)
+    batch[position] = _REFUSED[refusal](batch[position])
+    lines, refused = serialize_batch(batch)
+    assert (lines, refused) == _per_record(batch)
+    assert (len(lines), refused) == (1999, 1)
+
+
+@pytest.mark.parametrize("second", [
+    [DurationRecord("bench.m()", i) for i in range(1500)],
+    [AggregatedRecord("bench.m()", 1000, i) for i in range(1500)],
+])
+@given(position=st.integers(min_value=0, max_value=1499))
+@settings(max_examples=10, deadline=None)
+def test_serialize_batch_of_two_long_runs(second, position):
+    clean = _full_run(1500) + second
+    assert serialize_batch(clean) == _per_record(clean)
+    # A refused record in the second run leaves the first one whole.
+    spoiled = _full_run(1500) + second
+    spoiled[1500 + position] = replace(second[position], signature="\n")
+    lines, refused = serialize_batch(spoiled)
+    assert (lines, refused) == _per_record(spoiled)
+    assert lines[:1500] == serialize_batch(clean)[0][:1500]
+
+
+def test_serialize_batch_opens_as_many_python_frames_for_2000_clean_records_as_for_10(
+        python_calls):
+    assert python_calls(serialize_batch, _full_run(10)) == python_calls(
+        serialize_batch, _full_run(2000))

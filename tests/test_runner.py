@@ -193,6 +193,14 @@ def test_load_sample_set_rejects_bad_counters(tmp_path, tamper, message):
         load_sample_set(tmp_path / "tiny")
 
 
+@pytest.mark.parametrize("stray", ["run_old", "run_", "run_1x"])
+def test_load_sample_set_names_a_stray_run_entry(tmp_path, stray):
+    run_config(tiny_config(iterations=20, runs=1), tmp_path)
+    (tmp_path / "tiny" / stray).mkdir()
+    with pytest.raises(BenchmarkError, match=stray):
+        load_sample_set(tmp_path / "tiny")
+
+
 def test_run_config_rejects_unbalanced_counters_as_the_run_lands(tmp_path, monkeypatch):
     real_run = runner.subprocess.run
 

@@ -45,9 +45,9 @@ def test_begin_with_active_trace_is_error():
 
 def test_linear_chain_of_ten():
     reg = TraceRegistry()
-    reg.begin_trace()
+    tid = reg.begin_trace()
     entries = [reg.enter_method() for _ in range(10)]
-    assert entries == [(i, i) for i in range(10)]
+    assert entries == [(tid, i, i) for i in range(10)]
     for expected_ess in range(9, -1, -1):
         reg.exit_method()
     assert reg.recall_trace_id() == NO_TRACE
@@ -70,12 +70,29 @@ def test_top_level_siblings_start_fresh_traces():
     # belongs to a new trace with its own eoi numbering.
     reg = TraceRegistry()
     first = reg.begin_trace()
-    assert reg.enter_method() == (0, 0)
+    assert reg.enter_method() == (first, 0, 0)
     reg.exit_method()
     second = reg.begin_trace()
     assert second == first + 1
-    assert reg.enter_method() == (0, 0)
+    assert reg.enter_method() == (second, 0, 0)
     reg.exit_method()
+
+
+def test_enter_without_active_trace_starts_one():
+    reg = TraceRegistry()
+    reg.begin_trace()
+    reg.enter_method()
+    reg.exit_method()  # trace 0 ends, so the next entry starts trace 1
+    assert reg.enter_method() == (1, 0, 0)
+    assert reg.recall_trace_id() == 1
+    assert [reg.enter_method() for _ in range(3)] == [(1, 1, 1), (1, 2, 2), (1, 3, 3)]
+    with pytest.raises(RuntimeError):
+        reg.begin_trace()
+    for _ in range(4):
+        assert reg.recall_trace_id() == 1
+        reg.exit_method()
+    assert reg.recall_trace_id() == NO_TRACE
+    assert reg.enter_method() == (2, 0, 0)
 
 
 def test_unmatched_exit_is_error():
@@ -121,7 +138,7 @@ def test_ess_matches_explicit_stack_model():
                 if not stack:
                     break
             else:
-                eoi, ess = reg.enter_method()
+                _, eoi, ess = reg.enter_method()
                 assert ess == len(stack)
                 stack.append(ess)
                 eoi_seen.append(eoi)
@@ -149,7 +166,7 @@ def test_shared_registry_keeps_each_threads_state_under_forced_switching():
                 mine.append(reg.begin_trace())
                 depth = 0  # the stack model: eoi counts entries, ess nesting
                 for eoi in range(rng.randint(1, 12)):
-                    assert reg.enter_method() == (eoi, depth)
+                    assert reg.enter_method() == (mine[-1], eoi, depth)
                     depth += 1
                     if rng.random() < 0.3 and depth > 1:
                         reg.exit_method()

@@ -137,6 +137,14 @@ def test_aggregating_emission_count(pipeline, tmp_path):
     p.shutdown()
 
 
+def test_direct_full_call_opens_at_most_seven_python_frames_per_level(pipeline, python_calls):
+    # Per level: the method, enter, the registry's enter_method, exit, the
+    # record's __init__, the queue's put and exit_method; plus call itself.
+    chain = CallChain(ProbeKind.DIRECT_FULL, pipeline, WorkloadParams(depth=10))
+    chain.call()
+    assert python_calls(chain.call) <= 7 * 10 + 1
+
+
 def test_probe_without_pipeline_is_error():
     with pytest.raises(ValueError):
         CallChain(ProbeKind.DIRECT_FULL, None, WorkloadParams(depth=1))
