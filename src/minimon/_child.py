@@ -60,8 +60,7 @@ def run_child(child_config: dict) -> None:
 
     chain.flush()
     report = pipeline.shutdown() if pipeline is not None else PipelineReport()
-    counters = asdict(report)
-    check_counters(counters, run_dir)
+    check_counters(report, run_dir)
 
     # The checksum must be consumed so the call chain cannot be elided.
     if checksum == 0:
@@ -85,7 +84,7 @@ def run_child(child_config: dict) -> None:
         "run": run_index,
         "pid": os.getpid(),
         "config": child_config["config"],
-        "counters": counters,
+        "counters": asdict(report),
         "clock_resolution_ns": estimate_clock_resolution_ns(),
         "checksum": checksum,
         "monitoring_log_lines": log_lines,

@@ -31,7 +31,7 @@ class SuiteConfigError(ValueError):
     pass
 
 
-def load_suite(path: str | None) -> dict:
+def load_suite(path: str | None) -> runner.Suite:
     """Parse and validate a suite config file (bundled default if None)."""
     if path is None:
         text = resources.files("minimon.data").joinpath("suite-default.json").read_text(
@@ -47,47 +47,14 @@ def load_suite(path: str | None) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SuiteConfigError(f"{source}: invalid JSON: {exc}") from exc
-
-    if not isinstance(data, dict):
-        raise SuiteConfigError(f"{source}: the suite must be a JSON object")
-    unknown = sorted(set(data) - {"configs", "depths", "output_dir"})
-    if unknown:
-        raise SuiteConfigError(
-            f"{source}: unknown suite key(s): {', '.join(map(repr, unknown))}")
-    raw_configs = data.get("configs")
-    if not raw_configs or not isinstance(raw_configs, list):
-        raise SuiteConfigError(f"{source}: 'configs' must be a nonempty list")
-    configs = []
-    seen = set()
-    for i, raw in enumerate(raw_configs):
-        try:
-            config = runner.config_from_dict(raw)
-        except ValueError as exc:
-            raise SuiteConfigError(f"{source}: configs[{i}]: {exc}") from exc
-        if config.config_id in seen:
-            raise SuiteConfigError(
-                f"{source}: duplicate config_id {config.config_id!r}")
-        seen.add(config.config_id)
-        configs.append(config)
-
-    depths = data.get("depths")
-    if depths is not None:
-        if not isinstance(depths, list) or not all(
-                type(d) is int and d >= 1 for d in depths):
-            raise SuiteConfigError(f"{source}: 'depths' must be a list of integers >= 1")
-    output_dir = data.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise SuiteConfigError(f"{source}: 'output_dir' must be a string")
-    return {"configs": configs, "depths": depths, "output_dir": output_dir}
+    try:
+        return runner.suite_from_dict(data)
+    except ValueError as exc:
+        raise SuiteConfigError(f"{source}: {exc}") from exc
 
 
-def _apply_paper_scale(configs):
-    return [replace(config, iterations=runner.PAPER_SCALE_ITERATIONS,
-                    runs=runner.PAPER_SCALE_RUNS) for config in configs]
-
-
-def _resolve_out(args_out: str | None, suite: dict) -> Path:
-    out = args_out or os.environ.get("MINIMON_OUT") or suite.get("output_dir")
+def _resolve_out(args_out: str | None, suite: runner.Suite) -> Path:
+    out = args_out or os.environ.get("MINIMON_OUT") or suite.output_dir
     if not out:
         raise SuiteConfigError(
             "no output directory: pass --out, set MINIMON_OUT, or put "
@@ -95,20 +62,30 @@ def _resolve_out(args_out: str | None, suite: dict) -> Path:
     return Path(out)
 
 
-def cmd_run(args) -> int:
-    suite = load_suite(args.config)
-    configs = suite["configs"]
-    if args.paper_scale:
-        configs = _apply_paper_scale(configs)
+def _run_suite(args, suite: runner.Suite, depths: list[int] | None) -> int:
+    """Run each config at its own depth or, for a sweep, at each of ``depths``."""
     out_dir = _resolve_out(args.out, suite)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for config in configs:
-        print(f"running {config.config_id} "
-              f"(n={config.iterations}, runs={config.runs}, "
-              f"d={config.workload.depth}) ...", flush=True)
-        runner.run_config(config, out_dir, keep_monitoring_log=args.keep_logs)
-    print(f"results written to {out_dir}")
+    sweep = depths is not None
+    for config in suite.configs:
+        at = f"depths={','.join(map(str, depths))}" if sweep else f"d={config.workload.depth}"
+        print(f"{'sweeping' if sweep else 'running'} {config.config_id} "
+              f"(n={config.iterations}, runs={config.runs}, {at}) ...", flush=True)
+        if sweep:
+            runner.sweep_depths([config], depths, out_dir, keep_monitoring_log=args.keep_logs)
+        else:
+            runner.run_config(config, out_dir, keep_monitoring_log=args.keep_logs)
+    print(f"{'sweep results' if sweep else 'results'} written to {out_dir}")
     return 0
+
+
+def cmd_run(args) -> int:
+    suite = load_suite(args.config)
+    if args.paper_scale:
+        suite = replace(suite, configs=[
+            replace(config, iterations=runner.PAPER_SCALE_ITERATIONS,
+                    runs=runner.PAPER_SCALE_RUNS) for config in suite.configs])
+    return _run_suite(args, suite, None)
 
 
 def _load_results(in_dir: Path):
@@ -154,19 +131,10 @@ def cmd_report(args) -> int:
 
 def cmd_sweep(args) -> int:
     suite = load_suite(args.config)
-    configs = suite["configs"]
-    depths = args.depths if args.depths else suite["depths"]
+    depths = args.depths or suite.depths
     if not depths:
         raise SuiteConfigError("no depths: pass --depths or set them in the suite file")
-    out_dir = _resolve_out(args.out, suite)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for config in configs:
-        print(f"sweeping {config.config_id} "
-              f"(n={config.iterations}, runs={config.runs}, "
-              f"depths={','.join(map(str, depths))}) ...", flush=True)
-        runner.sweep_depths([config], depths, out_dir, keep_monitoring_log=args.keep_logs)
-    print(f"sweep results written to {out_dir}")
-    return 0
+    return _run_suite(args, suite, depths)
 
 
 def cmd_plot(args) -> int:
@@ -198,14 +166,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="minimon",
         description="Low-overhead monitoring benchmark harness and reporting.")
     sub = parser.add_subparsers(dest="command", required=True)
+    suite_flags = argparse.ArgumentParser(add_help=False)  # shared by run and sweep
+    suite_flags.add_argument("--config", help="suite JSON file (default: bundled suite)")
+    suite_flags.add_argument("--out", help="output directory (default: $MINIMON_OUT)")
+    suite_flags.add_argument("--no-keep-logs", dest="keep_logs", action="store_false",
+                             help="delete monitoring logs after counting their lines")
 
-    p_run = sub.add_parser("run", help="execute a benchmark suite")
-    p_run.add_argument("--config", help="suite JSON file (default: bundled suite)")
-    p_run.add_argument("--out", help="output directory (default: $MINIMON_OUT)")
+    p_run = sub.add_parser("run", parents=[suite_flags], help="execute a benchmark suite")
     p_run.add_argument("--paper-scale", action="store_true",
                        help="use 2 000 000 iterations and 10 process starts")
-    p_run.add_argument("--no-keep-logs", dest="keep_logs", action="store_false",
-                       help="delete monitoring logs after counting their lines")
     p_run.set_defaults(func=cmd_run)
 
     p_report = sub.add_parser("report", help="summarize persisted results")
@@ -213,13 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="directory produced by 'run' or 'sweep'")
     p_report.set_defaults(func=cmd_report)
 
-    p_sweep = sub.add_parser("sweep", help="run a config grid over call depths")
-    p_sweep.add_argument("--config", help="suite JSON file (default: bundled suite)")
+    p_sweep = sub.add_parser("sweep", parents=[suite_flags],
+                             help="run a config grid over call depths")
     p_sweep.add_argument("--depths", type=_parse_depths,
                          help="comma-separated depths, e.g. 2,4,8,16")
-    p_sweep.add_argument("--out", help="output directory (default: $MINIMON_OUT)")
-    p_sweep.add_argument("--no-keep-logs", dest="keep_logs", action="store_false",
-                         help="delete monitoring logs after counting their lines")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_plot = sub.add_parser("plot", help="render the depth-overhead SVG chart")

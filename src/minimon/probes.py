@@ -94,11 +94,12 @@ def aggregate_duration(state: AggregationState, duration: int) -> Optional[Aggre
 
 
 class DirectFullProbe:
-    """Enter/exit probe emitting FullRecords with trace metadata."""
+    """Enter/exit probe emitting FullRecords with trace metadata from a
+    trace registry of its own."""
 
-    def __init__(self, emit: Callable, registry: TraceRegistry | None = None):
+    def __init__(self, emit: Callable):
         self._emit = emit
-        self.registry = registry if registry is not None else TraceRegistry()
+        self.registry = TraceRegistry()
 
     def enter(self):
         trace_id, eoi, ess = self.registry.enter_method()
@@ -204,8 +205,8 @@ class FullRecordInterceptor(Interceptor):
     """Interceptor whose after-handler emits the same FullRecord a
     DirectFullProbe would."""
 
-    def __init__(self, emit: Callable, registry: TraceRegistry | None = None):
-        self._probe = DirectFullProbe(emit, registry)
+    def __init__(self, emit: Callable):
+        self._probe = DirectFullProbe(emit)
 
     def before(self, context: CallContext):
         return self._probe.enter()
@@ -219,8 +220,7 @@ def _invoke(fn: Callable, args: tuple, kwargs: dict):
     return fn(*args, **kwargs)
 
 
-def intercept(wrapped: Callable, signature: str, emit: Callable,
-              registry: TraceRegistry | None = None) -> Callable:
+def intercept(wrapped: Callable, signature: str, emit: Callable) -> Callable:
     """Wrap ``wrapped`` in a monitoring interceptor.
 
     Each invocation allocates a fresh :class:`CallContext` (boxing the
@@ -230,7 +230,7 @@ def intercept(wrapped: Callable, signature: str, emit: Callable,
     callable's behavior is unchanged; an exception inside it still
     triggers the after-handler (record emitted at unwind time).
     """
-    interceptor: Interceptor = FullRecordInterceptor(emit, registry)
+    interceptor: Interceptor = FullRecordInterceptor(emit)
 
     def proxy(*args, **kwargs):
         context = CallContext(signature, wrapped, args, kwargs)

@@ -26,10 +26,10 @@ so building one takes one Python frame instead of two.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import groupby
 from operator import attrgetter
-from typing import Union
+from typing import Union, get_type_hints
 
 __all__ = [
     "FullRecord",
@@ -197,37 +197,26 @@ def serialize_batch(records) -> tuple[list[str], int]:
     return lines, failed
 
 
+# Line tag -> (record type, a parser per field: its type, int or str).
+_PARSERS = {
+    tag: (kind, [get_type_hints(kind)[f.name] for f in fields(kind)])
+    for tag, kind in (("OER", FullRecord), ("DUR", DurationRecord), ("AGG", AggregatedRecord))
+}
+
+
 def deserialize(line: str) -> MonitoringRecord:
     """Parse one serialized line back into a record.
 
     Inverse of :func:`serialize`: ``deserialize(serialize(r)) == r``.
     """
-    fields = line.split(";")
-    tag = fields[0]
+    tag, *values = line.split(";")
+    layout = _PARSERS.get(tag)
+    if layout is None:
+        raise RecordFormatError(f"unknown record tag {tag!r} in line {line!r}")
+    kind, parsers = layout
+    if len(values) != len(parsers):
+        raise RecordFormatError(f"{tag} needs {len(parsers) + 1} fields: {line!r}")
     try:
-        if tag == "DUR":
-            if len(fields) != 3:
-                raise RecordFormatError(f"DUR needs 3 fields: {line!r}")
-            return DurationRecord(fields[1], int(fields[2]))
-        if tag == "AGG":
-            if len(fields) != 4:
-                raise RecordFormatError(f"AGG needs 4 fields: {line!r}")
-            return AggregatedRecord(fields[1], int(fields[2]), int(fields[3]))
-        if tag == "OER":
-            if len(fields) != 9:
-                raise RecordFormatError(f"OER needs 9 fields: {line!r}")
-            return FullRecord(
-                fields[1],
-                int(fields[2]),
-                int(fields[3]),
-                int(fields[4]),
-                int(fields[5]),
-                int(fields[6]),
-                fields[7],
-                fields[8],
-            )
-    except RecordFormatError:
-        raise
+        return kind(*[parse(value) for parse, value in zip(parsers, values)])
     except ValueError as exc:
         raise RecordFormatError(f"bad field in line {line!r}: {exc}") from exc
-    raise RecordFormatError(f"unknown record tag {tag!r} in line {line!r}")

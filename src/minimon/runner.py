@@ -20,9 +20,10 @@ Per run the child persists:
   dropped after line-counting via ``keep_monitoring_log=False``).
 
 Each run is checked as it lands, by the loader ``report`` uses: a failed
-run, counters that break ``enqueued == written + overwritten + failed`` or
-a bad ``samples.csv`` stops the suite at once. The child checks its
-counters with the same rule before it writes ``metadata.json``.
+run, a config echo or counters that do not parse, counters that break
+``enqueued == written + overwritten + failed`` or a bad ``samples.csv``
+stops the suite at once. The child checks its counters with the same rule
+before it writes ``metadata.json``.
 """
 
 from __future__ import annotations
@@ -35,18 +36,21 @@ import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from types import NoneType, UnionType
+from typing import Sequence, get_args, get_origin, get_type_hints
 
-from .pipeline import PipelineConfig
+from .pipeline import PipelineConfig, PipelineReport
 from .workload import WorkloadParams
 
 __all__ = [
     "BenchmarkConfig",
+    "Suite",
     "SampleSet",
     "BenchmarkError",
     "check_counters",
     "config_to_dict",
     "config_from_dict",
+    "suite_from_dict",
     "run_config",
     "sweep_depths",
     "discard_warmup",
@@ -98,6 +102,27 @@ class BenchmarkConfig:
 
 
 @dataclass
+class Suite:
+    """A suite file: the configurations to run; optionally the depths a
+    sweep covers and the directory results go to."""
+
+    configs: list[BenchmarkConfig]
+    depths: list[int] | None = None
+    output_dir: str | None = None
+
+    def __post_init__(self):
+        if not self.configs:
+            raise ValueError("'configs' must be a nonempty list")
+        seen = set()
+        for config in self.configs:
+            if config.config_id in seen:
+                raise ValueError(f"duplicate config_id {config.config_id!r}")
+            seen.add(config.config_id)
+        if self.depths is not None and any(d < 1 for d in self.depths):
+            raise ValueError("'depths' must be a list of integers >= 1")
+
+
+@dataclass
 class SampleSet:
     """Per-run raw overhead samples (nanoseconds) for one configuration."""
 
@@ -146,34 +171,53 @@ def _from_dict(cls, data, where: str):
     coerced (only an int widens to a float); ``__post_init__`` checks ranges.
     """
     if not isinstance(data, dict):
-        raise ValueError(f"{where} must be a JSON object, got {data!r}")
+        raise ValueError(f"no {where}" if data is None
+                         else f"{where} must be a JSON object, got {data!r}")
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
     hints = get_type_hints(cls)
     values = {}
     for f in fields(cls):
-        if f.name not in data:
-            if f.default is MISSING and f.default_factory is MISSING:
-                raise ValueError(f"{where} is missing {f.name!r}")
-            continue
-        kind, value = hints[f.name], data[f.name]
-        if is_dataclass(kind):
-            value = _from_dict(kind, value, f.name)
-        elif issubclass(kind, Enum):
-            value = _enum_from_value(kind, value, f.name)
-        elif kind is float and type(value) is int:
-            value = float(value)
-        elif type(value) is not kind:
-            raise ValueError(
-                f"{where} {f.name!r} must be of type {kind.__name__}, got {value!r}")
-        values[f.name] = value
+        if f.name in data:
+            values[f.name] = _parse(hints[f.name], data[f.name], f.name, f"{where} {f.name!r}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{where} is missing {f.name!r}")
     return cls(**values)
+
+
+def _parse(kind, value, name: str, label: str):
+    """JSON ``value`` as a ``kind``: a dataclass, an enum, ``list[X]``,
+    ``X | None`` or a scalar type. Errors name a dataclass or an enum by
+    ``name``, and a scalar by ``label``, which also says what holds it."""
+    if isinstance(kind, UnionType):
+        if value is None:
+            return None
+        (kind,) = (arg for arg in get_args(kind) if arg is not NoneType)
+    if is_dataclass(kind):
+        return _from_dict(kind, value, name)
+    if get_origin(kind) is list:
+        if type(value) is list:
+            (item,) = get_args(kind)
+            return [_parse(item, v, f"{name}[{i}]", f"{label}[{i}]")
+                    for i, v in enumerate(value)]
+    elif issubclass(kind, Enum):
+        return _enum_from_value(kind, value, name)
+    elif kind is float and type(value) is int:
+        return float(value)
+    elif type(value) is kind:
+        return value
+    raise ValueError(f"{label} must be of type {kind.__name__}, got {value!r}")
 
 
 def config_from_dict(data: dict) -> BenchmarkConfig:
     """Inverse of :func:`config_to_dict`; raises ValueError naming the bad field."""
     return _from_dict(BenchmarkConfig, data, "config")
+
+
+def suite_from_dict(data: dict) -> Suite:
+    """A parsed suite file; raises ValueError naming the bad field."""
+    return _from_dict(Suite, data, "suite")
 
 
 def estimate_clock_resolution_ns() -> int:
@@ -249,7 +293,7 @@ def run_config(config: BenchmarkConfig, out_dir: str | Path,
                 f"benchmark child for {config.config_id!r} run {run_index} "
                 f"{failure}; partial data in {run_dir}\n{stderr[-2000:]}"
             )
-        runs.append(_load_run(run_dir, config.iterations)[1])
+        runs.append(_load_run(run_dir, config.iterations)[2])
     return SampleSet(config_id=config.config_id, depth=config.workload.depth,
                      warmup_fraction=config.warmup_fraction, runs=runs)
 
@@ -288,23 +332,19 @@ def _read_samples_csv(path: Path, expected_rows: int | None = None) -> list[int]
     return samples
 
 
-def check_counters(counters, where) -> None:
+def check_counters(counters: PipelineReport, where) -> None:
     """Refuse a run's counters unless ``enqueued == written + overwritten + failed``."""
-    try:
-        enqueued, written, overwritten = (
-            counters["enqueued"], counters["written"], counters["overwritten"])
-    except (KeyError, TypeError):
-        raise BenchmarkError(f"{where}: metadata.json has no pipeline counters") from None
-    # Runs recorded before the writer counted failures have no "failed".
-    failed = counters.get("failed", 0)
-    if enqueued != written + overwritten + failed:
+    if counters.enqueued != counters.written + counters.overwritten + counters.failed:
         raise BenchmarkError(
-            f"{where}: counters do not balance: enqueued {enqueued} != written "
-            f"{written} + overwritten {overwritten} + failed {failed}")
+            f"{where}: counters do not balance: enqueued {counters.enqueued} != written "
+            f"{counters.written} + overwritten {counters.overwritten} + failed {counters.failed}")
 
 
-def _load_run(run_dir: Path, expected_rows: int | None = None) -> tuple[dict, list[int]]:
-    """One run's metadata and samples, refused unless its counters balance."""
+def _load_run(run_dir: Path, expected_rows: int | None = None
+              ) -> tuple[dict, BenchmarkConfig, list[int]]:
+    """One run's raw metadata, parsed config echo and samples, refused unless
+    its counters balance. A run recorded before the writer counted failures
+    has no ``failed`` counter, which then defaults to 0."""
     meta_path = run_dir / "metadata.json"
     if not meta_path.exists():
         raise BenchmarkError(f"{run_dir}: missing metadata.json")
@@ -316,8 +356,13 @@ def _load_run(run_dir: Path, expected_rows: int | None = None) -> tuple[dict, li
         raise BenchmarkError(f"{meta_path}: metadata must be a JSON object")
     if meta.get("failed"):
         raise BenchmarkError(f"{run_dir}: run is marked failed")
-    check_counters(meta.get("counters"), run_dir)
-    return meta, _read_samples_csv(run_dir / "samples.csv", expected_rows)
+    try:
+        counters = _from_dict(PipelineReport, meta.get("counters"), "pipeline counters")
+        config = config_from_dict(meta.get("config"))
+    except ValueError as exc:
+        raise BenchmarkError(f"{meta_path}: {exc}") from None
+    check_counters(counters, run_dir)
+    return meta, config, _read_samples_csv(run_dir / "samples.csv", expected_rows)
 
 
 def _run_index(entry: Path) -> int:
@@ -334,21 +379,11 @@ def load_sample_set(result_dir: str | Path) -> tuple[SampleSet, list[dict]]:
     if not run_dirs:
         raise BenchmarkError(f"{result_dir}: no run directories found")
     loaded = [_load_run(run_dir) for run_dir in run_dirs]
-    metadata = [meta for meta, _ in loaded]
-    runs = [samples for _, samples in loaded]
-    config = metadata[0].get("config")
-    try:
-        sample_set = SampleSet(
-            config_id=config["config_id"],
-            depth=config["workload"]["depth"],
-            warmup_fraction=config["warmup_fraction"],
-            runs=runs,
-        )
-    except (KeyError, TypeError):
-        raise BenchmarkError(
-            f"{run_dirs[0]}: metadata.json has no config block with "
-            "config_id, workload.depth and warmup_fraction") from None
-    return sample_set, metadata
+    config = loaded[0][1]
+    sample_set = SampleSet(config_id=config.config_id, depth=config.workload.depth,
+                           warmup_fraction=config.warmup_fraction,
+                           runs=[samples for _, _, samples in loaded])
+    return sample_set, [meta for meta, _, _ in loaded]
 
 
 def find_result_dirs(out_dir: str | Path) -> list[Path]:

@@ -26,7 +26,6 @@ from .probes import (
     ProbeKind,
     intercept,
 )
-from .trace_registry import TraceRegistry
 
 __all__ = ["WorkloadParams", "CallChain", "DEFAULT_SIGNATURE"]
 
@@ -52,12 +51,10 @@ class CallChain:
 
     def __init__(self, probe_kind: ProbeKind, pipeline: Pipeline | None,
                  params: WorkloadParams,
-                 signature: str = DEFAULT_SIGNATURE,
-                 registry: TraceRegistry | None = None):
+                 signature: str = DEFAULT_SIGNATURE):
         self.probe_kind = probe_kind
         self.params = params
         self.signature = signature
-        self.registry = registry if registry is not None else TraceRegistry()
         self._agg_probe: AggregatingProbe | None = None
         if probe_kind is not ProbeKind.NONE and pipeline is None:
             raise ValueError(f"probe kind {probe_kind.value} requires a pipeline")
@@ -80,7 +77,7 @@ class CallChain:
         emit = pipeline.new_monitoring_record if pipeline is not None else None
 
         if probe_kind is ProbeKind.DIRECT_FULL:
-            probe = DirectFullProbe(emit, self.registry)
+            probe = DirectFullProbe(emit)
         elif probe_kind is ProbeKind.DIRECT_DURATION:
             probe = DirectDurationProbe(emit)
         elif probe_kind is ProbeKind.DIRECT_AGGREGATING:
@@ -122,7 +119,7 @@ class CallChain:
         if probe_kind is ProbeKind.NONE:
             level = raw
         elif probe_kind is ProbeKind.INTERCEPTOR_FULL:
-            level = intercept(raw, signature, emit, self.registry)
+            level = intercept(raw, signature, emit)
         else:
             raise ValueError(f"unknown probe kind: {probe_kind!r}")
         return level

@@ -26,13 +26,13 @@ def tiny_suite(tmp_path, n=2):
 
 def test_bundled_default_suite_loads():
     suite = load_suite(None)
-    ids = [c.config_id for c in suite["configs"]]
+    ids = [c.config_id for c in suite.configs]
     assert ids == [
         "none", "interceptor-full", "direct-full", "direct-duration",
         "direct-full-ring", "direct-duration-ring",
         "direct-aggregating", "direct-aggregating-ring",
     ]
-    assert suite["depths"] == [2, 4, 8, 16, 32, 64, 128]
+    assert suite.depths == [2, 4, 8, 16, 32, 64, 128]
 
 
 def test_empty_configs_rejected(tmp_path):
@@ -148,9 +148,11 @@ def test_report_metadata_without_config_names_run_dir(tmp_path, capsys):
     capsys.readouterr()
     meta_path = out / "dur" / "run_0" / "metadata.json"
     meta = json.loads(meta_path.read_text())
+    meta["config"]["workload"]["depth"] = "2"
+    str_depth = json.dumps(meta)
     del meta["config"]
-    for text, named in ((json.dumps(meta), "config"), ("{", "invalid JSON"),
-                        ("[]", "JSON object")):
+    for text, named in ((json.dumps(meta), "config"), (str_depth, "depth"),
+                        ("{", "invalid JSON"), ("[]", "JSON object")):
         meta_path.write_text(text)
         assert main(["report", "--in", str(out)]) == 1
         err = capsys.readouterr().err

@@ -183,7 +183,7 @@ def test_intercept_allocates_context_per_invocation(monkeypatch):
 
 def test_interceptor_records_match_direct_full_except_timestamps():
     direct_sink = Collector()
-    direct_probe = DirectFullProbe(direct_sink, TraceRegistry())
+    direct_probe = DirectFullProbe(direct_sink)
 
     def run_direct(d):
         token = direct_probe.enter()
@@ -201,7 +201,7 @@ def test_interceptor_records_match_direct_full_except_timestamps():
             return proxied(d - 1)
         return 0
 
-    proxied = intercept(raw, "m()", intercept_sink, TraceRegistry())
+    proxied = intercept(raw, "m()", intercept_sink)
 
     for _ in range(3):
         run_direct(5)

@@ -53,7 +53,7 @@ def test_config_dict_round_trip():
     assert config_from_dict(config_to_dict(config)) == config
 
 
-@pytest.mark.parametrize("config", load_suite(None)["configs"], ids=lambda c: c.config_id)
+@pytest.mark.parametrize("config", load_suite(None).configs, ids=lambda c: c.config_id)
 def test_bundled_config_dict_round_trip(config):
     assert config_from_dict(config_to_dict(config)) == config
 
@@ -181,6 +181,7 @@ def test_load_sample_set_round_trip(tmp_path):
     (lambda meta: meta["counters"].update(written=meta["counters"]["written"] - 1),
      "do not balance"),
     (lambda meta: meta.pop("counters"), "no pipeline counters"),
+    (lambda meta: meta["counters"].update(written="0"), "'written' must be of type int"),
 ])
 def test_load_sample_set_rejects_bad_counters(tmp_path, tamper, message):
     config = tiny_config(probe=ProbeKind.DIRECT_DURATION, iterations=20, runs=2)
