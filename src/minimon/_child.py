@@ -59,7 +59,8 @@ def run_child(child_config: dict) -> None:
     gc_after = gc.get_stats()
 
     chain.flush()
-    report = pipeline.shutdown() if pipeline is not None else PipelineReport()
+    report = (pipeline.shutdown() if pipeline is not None
+              else PipelineReport(enqueued=0, written=0, overwritten=0, dropped=0))
     check_counters(report, run_dir)
 
     # The checksum must be consumed so the call chain cannot be elided.

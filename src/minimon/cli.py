@@ -88,25 +88,23 @@ def cmd_run(args) -> int:
     return _run_suite(args, suite, None)
 
 
-def _load_results(in_dir: Path):
+def _load_results(in_dir: Path) -> list[tuple[str, runner.SampleSet, stats.SummaryStats]]:
+    """``(label, sample_set, summary of its kept samples)`` per result directory."""
     result_dirs = runner.find_result_dirs(in_dir)
     if not result_dirs:
         raise runner.BenchmarkError(f"no benchmark results found under {in_dir}")
     results = []
     for result_dir in result_dirs:
-        sample_set, metadata = runner.load_sample_set(result_dir)
-        results.append((result_dir.name, sample_set, metadata))
+        sample_set = runner.load_sample_set(result_dir)[0]
+        results.append((result_dir.name, sample_set, stats.summarize(sample_set.kept_samples())))
     return results
 
 
 def cmd_report(args) -> int:
     in_dir = Path(args.in_dir)
     results = _load_results(in_dir)
-    summaries = []
     by_depth: dict[int, list[tuple[str, stats.SummaryStats]]] = {}
-    for label, sample_set, _ in results:
-        summary = stats.summarize(sample_set.kept_samples())
-        summaries.append((label, summary))
+    for label, sample_set, summary in results:
         by_depth.setdefault(sample_set.depth, []).append((label, summary))
 
     for depth in sorted(by_depth):
@@ -124,7 +122,8 @@ def cmd_report(args) -> int:
                     print(f"  {name_a} vs {name_b}: {verdict}")
 
     csv_path = in_dir / "summary.csv"
-    csv_path.write_text(stats.summary_csv(summaries), encoding="utf-8")
+    csv_path.write_text(stats.summary_csv((label, summary) for label, _, summary in results),
+                        encoding="utf-8")
     print(f"\nsummary CSV written to {csv_path}")
     return 0
 
@@ -139,11 +138,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_plot(args) -> int:
     in_dir = Path(args.in_dir)
-    results = _load_results(in_dir)
-    keyed: dict[tuple[str, int], stats.SummaryStats] = {}
-    for _, sample_set, _ in results:
-        key = (sample_set.config_id, sample_set.depth)
-        keyed[key] = stats.summarize(sample_set.kept_samples())
+    keyed = {(sample_set.config_id, sample_set.depth): summary
+             for _, sample_set, summary in _load_results(in_dir)}
     svg = chart.render_depth_chart(keyed)
     out_path = Path(args.out)
     out_path.write_text(svg, encoding="utf-8")

@@ -53,10 +53,10 @@ class PipelineConfig:
 
 @dataclass
 class PipelineReport:
-    enqueued: int = 0
-    written: int = 0
-    overwritten: int = 0
-    dropped: int = 0
+    enqueued: int
+    written: int
+    overwritten: int
+    dropped: int
     failed: int = 0  # taken from the queue but not serializable
 
 

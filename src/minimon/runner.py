@@ -293,7 +293,7 @@ def run_config(config: BenchmarkConfig, out_dir: str | Path,
                 f"benchmark child for {config.config_id!r} run {run_index} "
                 f"{failure}; partial data in {run_dir}\n{stderr[-2000:]}"
             )
-        runs.append(_load_run(run_dir, config.iterations)[2])
+        runs.append(_load_run(run_dir)[2])
     return SampleSet(config_id=config.config_id, depth=config.workload.depth,
                      warmup_fraction=config.warmup_fraction, runs=runs)
 
@@ -313,7 +313,7 @@ def sweep_depths(configs: Sequence[BenchmarkConfig], depths: Sequence[int],
             for key, derived in grid.items()}
 
 
-def _read_samples_csv(path: Path, expected_rows: int | None = None) -> list[int]:
+def _read_samples_csv(path: Path) -> list[int]:
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != SAMPLES_CSV_HEADER:
         raise BenchmarkError(f"{path}: missing or bad samples header")
@@ -326,9 +326,6 @@ def _read_samples_csv(path: Path, expected_rows: int | None = None) -> list[int]
             samples.append(int(fields[3]))
         except ValueError:
             raise BenchmarkError(f"{path}:{lineno}: bad duration {fields[3]!r}") from None
-    if expected_rows is not None and len(samples) != expected_rows:
-        raise BenchmarkError(
-            f"{path}: expected {expected_rows} samples, found {len(samples)}")
     return samples
 
 
@@ -340,11 +337,11 @@ def check_counters(counters: PipelineReport, where) -> None:
             f"{counters.written} + overwritten {counters.overwritten} + failed {counters.failed}")
 
 
-def _load_run(run_dir: Path, expected_rows: int | None = None
-              ) -> tuple[dict, BenchmarkConfig, list[int]]:
+def _load_run(run_dir: Path) -> tuple[dict, BenchmarkConfig, list[int]]:
     """One run's raw metadata, parsed config echo and samples, refused unless
-    its counters balance. A run recorded before the writer counted failures
-    has no ``failed`` counter, which then defaults to 0."""
+    its counters balance and it has one sample per configured iteration. A
+    run recorded before the writer counted failures has no ``failed``
+    counter, which then defaults to 0."""
     meta_path = run_dir / "metadata.json"
     if not meta_path.exists():
         raise BenchmarkError(f"{run_dir}: missing metadata.json")
@@ -362,7 +359,12 @@ def _load_run(run_dir: Path, expected_rows: int | None = None
     except ValueError as exc:
         raise BenchmarkError(f"{meta_path}: {exc}") from None
     check_counters(counters, run_dir)
-    return meta, config, _read_samples_csv(run_dir / "samples.csv", expected_rows)
+    samples_path = run_dir / "samples.csv"
+    samples = _read_samples_csv(samples_path)
+    if len(samples) != config.iterations:
+        raise BenchmarkError(
+            f"{samples_path}: expected {config.iterations} samples, found {len(samples)}")
+    return meta, config, samples
 
 
 def _run_index(entry: Path) -> int:

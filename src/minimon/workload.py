@@ -11,6 +11,8 @@ statements inline, ``token = enter()`` on entry and
 ``exit(signature, token)`` on the way out. ``none`` runs the plain
 method bare, and ``interceptor-full`` routes every recursion level of
 that same plain method through the generic interception layer.
+``CallChain.call(depth)`` is the root of that method, so a harness that
+times it times the monitored chain and nothing else.
 """
 
 from __future__ import annotations
@@ -46,43 +48,35 @@ class WorkloadParams:
             raise ValueError(f"busy_ns must be >= 0, got {self.busy_ns}")
 
 
+def _flush_nothing() -> None:
+    """``CallChain.flush`` of a probe that keeps no aggregation windows."""
+
+
 class CallChain:
-    """Monitored application stand-in: depth-d chain of probe-carrying calls."""
+    """Monitored application stand-in: depth-d chain of probe-carrying calls.
+
+    ``call(depth)`` is the chain's root monitored method itself and returns
+    the leaf's entry timestamp; ``flush()`` emits the aggregating probe's
+    residual windows and does nothing for the other probes.
+    """
 
     def __init__(self, probe_kind: ProbeKind, pipeline: Pipeline | None,
                  params: WorkloadParams,
                  signature: str = DEFAULT_SIGNATURE):
-        self.probe_kind = probe_kind
-        self.params = params
-        self.signature = signature
-        self._agg_probe: AggregatingProbe | None = None
         if probe_kind is not ProbeKind.NONE and pipeline is None:
             raise ValueError(f"probe kind {probe_kind.value} requires a pipeline")
-        self._call = self._build(probe_kind, pipeline, params.busy_ns)
-
-    def call(self, depth: int | None = None) -> int:
-        """Run one iteration; returns the leaf's entry timestamp."""
-        if depth is None:
-            depth = self.params.depth
-        return self._call(depth)
-
-    def flush(self) -> None:
-        """Emit residual aggregation windows (aggregating probe only)."""
-        if self._agg_probe is not None:
-            self._agg_probe.flush()
-
-    def _build(self, probe_kind: ProbeKind, pipeline: Pipeline | None, busy_ns: int):
         clock = _clock
-        signature = self.signature
+        busy_ns = params.busy_ns
         emit = pipeline.new_monitoring_record if pipeline is not None else None
+        self.flush = _flush_nothing
 
         if probe_kind is ProbeKind.DIRECT_FULL:
             probe = DirectFullProbe(emit)
         elif probe_kind is ProbeKind.DIRECT_DURATION:
             probe = DirectDurationProbe(emit)
         elif probe_kind is ProbeKind.DIRECT_AGGREGATING:
-            probe = self._agg_probe = AggregatingProbe(
-                emit, pipeline.config.aggregation_window)
+            probe = AggregatingProbe(emit, pipeline.config.aggregation_window)
+            self.flush = probe.flush
         else:
             probe = None
 
@@ -103,7 +97,8 @@ class CallChain:
                 finally:
                     exit_(signature, token)
 
-            return method
+            self.call = method
+            return
 
         # The plain method recurses through ``level``: itself when
         # uninstrumented, the interception proxy otherwise, so that every
@@ -122,4 +117,4 @@ class CallChain:
             level = intercept(raw, signature, emit)
         else:
             raise ValueError(f"unknown probe kind: {probe_kind!r}")
-        return level
+        self.call = level

@@ -134,11 +134,12 @@ def test_report_corrupt_csv_names_file_and_line(tmp_path, capsys):
     main(["run", "--config", suite, "--out", str(out)])
     csv = out / "none" / "run_0" / "samples.csv"
     lines = csv.read_text().splitlines()
-    lines[5] = "garbage"
-    csv.write_text("\n".join(lines) + "\n")
-    assert main(["report", "--in", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "samples.csv" in err and ":6" in err
+    for corrupt, named in ((lines[:5] + ["garbage"] + lines[6:], ":6"),
+                           (lines[:11], "expected 30 samples, found 10")):
+        csv.write_text("\n".join(corrupt) + "\n")
+        assert main(["report", "--in", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "samples.csv" in err and named in err
 
 
 def test_report_metadata_without_config_names_run_dir(tmp_path, capsys):

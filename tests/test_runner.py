@@ -182,6 +182,7 @@ def test_load_sample_set_round_trip(tmp_path):
      "do not balance"),
     (lambda meta: meta.pop("counters"), "no pipeline counters"),
     (lambda meta: meta["counters"].update(written="0"), "'written' must be of type int"),
+    (lambda meta: meta["counters"].clear(), "missing 'enqueued'"),
 ])
 def test_load_sample_set_rejects_bad_counters(tmp_path, tamper, message):
     config = tiny_config(probe=ProbeKind.DIRECT_DURATION, iterations=20, runs=2)

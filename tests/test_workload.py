@@ -33,7 +33,7 @@ def records_emitted(pipeline, probe_kind, params, calls=1):
     pipeline.new_monitoring_record = tap
     chain = CallChain(probe_kind, pipeline, params)
     for _ in range(calls):
-        chain.call()
+        chain.call(params.depth)
     chain.flush()
     pipeline.new_monitoring_record = original
     return collected
@@ -85,14 +85,14 @@ def test_busy_wait_lower_bound(pipeline):
     chain = CallChain(ProbeKind.NONE, None, WorkloadParams(depth=1, busy_ns=busy_ns))
     for _ in range(20):
         start = time.perf_counter_ns()
-        chain.call()
+        chain.call(1)
         assert time.perf_counter_ns() - start >= busy_ns
 
 
 def test_returns_leaf_timestamp(pipeline):
     chain = CallChain(ProbeKind.NONE, None, WorkloadParams(depth=4))
     before = time.perf_counter_ns()
-    ts = chain.call()
+    ts = chain.call(4)
     after = time.perf_counter_ns()
     assert before <= ts <= after
 
@@ -110,7 +110,7 @@ def test_every_probe_kind_times_its_leaf_and_records_each_level(probe_kind, tmp_
     p.new_monitoring_record = emit
     for _ in range(calls):
         before = time.perf_counter_ns()
-        entry = chain.call()
+        entry = chain.call(depth)
         after = time.perf_counter_ns()
         assert before <= entry <= after - busy_ns
     chain.flush()
@@ -130,7 +130,7 @@ def test_aggregating_emission_count(pipeline, tmp_path):
     p.start()
     chain = CallChain(ProbeKind.DIRECT_AGGREGATING, p, WorkloadParams(depth=5))
     for _ in range(7):
-        chain.call()  # 35 invocations, W=10 -> 3 full windows
+        chain.call(5)  # 35 invocations, W=10 -> 3 full windows
     assert p.queue.stats().enqueued == 3
     chain.flush()  # residual 5
     assert p.queue.stats().enqueued == 4
@@ -139,10 +139,16 @@ def test_aggregating_emission_count(pipeline, tmp_path):
 
 def test_direct_full_call_opens_at_most_seven_python_frames_per_level(pipeline, python_calls):
     # Per level: the method, enter, the registry's enter_method, exit, the
-    # record's __init__, the queue's put and exit_method; plus call itself.
+    # record's __init__, the queue's put and exit_method. chain.call is the root level.
     chain = CallChain(ProbeKind.DIRECT_FULL, pipeline, WorkloadParams(depth=10))
-    chain.call()
-    assert python_calls(chain.call) <= 7 * 10 + 1
+    chain.call(10)
+    assert python_calls(chain.call, 10) <= 7 * 10
+
+
+def test_uninstrumented_call_opens_one_python_frame_per_level(python_calls):
+    chain = CallChain(ProbeKind.NONE, None, WorkloadParams(depth=10))
+    for depth in (1, 10):
+        assert python_calls(chain.call, depth) == depth
 
 
 def test_probe_without_pipeline_is_error():
