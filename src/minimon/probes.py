@@ -4,9 +4,10 @@ The three direct probes share one interface: ``enter()`` returns a token
 and ``exit(signature, token)`` emits what the call produced, so one
 monitored method with inline probe statements serves all three.
 
-* ``DirectFullProbe`` -- FullRecords with trace metadata; its token
-  carries the entry timestamp and the trace position, which one registry
-  call per entry hands out (starting a trace at the outermost entry).
+* ``DirectFullProbe`` -- FullRecords with trace metadata; its ``enter``
+  is the trace registry's, one call per entry that hands out the whole
+  token (the entry timestamp and the trace position, starting a trace at
+  the outermost entry), and its exit calls nothing in the registry.
 * ``DirectDurationProbe`` -- minimal DurationRecords, touching no trace
   state.
 * ``AggregatingProbe`` -- sums durations per signature and emits one
@@ -18,18 +19,18 @@ monitored method with inline probe statements serves all three.
 
 Durations come from a monotonic nanosecond clock, never wall-clock time.
 The duration and aggregating probes' ``enter`` is that clock itself, so
-entering a call costs one C call and no Python frame.
+entering a call costs one C call and no Python frame; the full probe's
+costs one frame.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from enum import Enum
 from typing import Callable, Optional
 
 from .records import AggregatedRecord, DurationRecord, FullRecord
-from .trace_registry import TraceRegistry
+from .trace_registry import TraceRegistry, monotonic_ns
 
 __all__ = [
     "ProbeKind",
@@ -44,8 +45,6 @@ __all__ = [
     "BENCH_SESSION_ID",
     "DEFAULT_AGGREGATION_WINDOW",
 ]
-
-monotonic_ns = time.perf_counter_ns
 
 # Constant host/session identity: the benchmark is single-process, but
 # FullRecord carries both so its per-record cost stays realistic.
@@ -100,17 +99,16 @@ class DirectFullProbe:
     def __init__(self, emit: Callable):
         self._emit = emit
         self.registry = TraceRegistry()
-
-    def enter(self):
-        trace_id, eoi, ess = self.registry.enter_method()
-        return monotonic_ns(), trace_id, eoi, ess
+        self.enter = self.registry.enter
 
     def exit(self, signature: str, token) -> None:
         tout = monotonic_ns()
-        tin, trace_id, eoi, ess = token
+        tin, state, trace_id, eoi, ess = token
+        # Leave the method before emitting: a refused record must not
+        # leave the thread's trace open.
+        state.ess = ess
         self._emit(FullRecord(signature, tin, tout, trace_id, eoi, ess,
                               BENCH_HOSTNAME, BENCH_SESSION_ID))
-        self.registry.exit_method()
 
 
 class DirectDurationProbe:

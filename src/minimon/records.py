@@ -116,12 +116,19 @@ def _check_signature(value: object) -> None:
     raise RecordFormatError(f"signature contains control character: {value!r}")
 
 
-def _full_lines(records) -> list[str]:
-    return [
-        f"OER;{r.signature};{r.tin};{r.tout};{r.trace_id};{r.eoi};{r.ess};"
-        f"{r.hostname};{r.session_id}"
-        for r in records
-    ]
+def _full_lines(records, constant=None) -> list[str]:
+    # ``constant``: the run's one (signature, hostname, session_id), joined
+    # once into the text around the integer fields.
+    if constant is None:
+        return [
+            f"OER;{r.signature};{r.tin};{r.tout};{r.trace_id};{r.eoi};{r.ess};"
+            f"{r.hostname};{r.session_id}"
+            for r in records
+        ]
+    signature, hostname, session_id = constant
+    head = f"OER;{signature};"
+    tail = f";{hostname};{session_id}"
+    return [f"{head}{r.tin};{r.tout};{r.trace_id};{r.eoi};{r.ess}{tail}" for r in records]
 
 
 def _duration_lines(records) -> list[str]:
@@ -169,9 +176,12 @@ def serialize_batch(records) -> tuple[list[str], int]:
     checked once per distinct value, since a batch from one probe repeats
     the same few strings, and a clean run is formatted with one call; a run
     holding a refused or unhashable value goes through ``serialize`` record
-    by record. Values are deduplicated by equality, so a str subclass
-    instance equal to a plain str in the same run is accepted here, where
-    ``serialize`` refuses it.
+    by record. A clean ``FullRecord`` run whose three text fields each hold
+    one value, as one probe's do, has them joined once for the whole run.
+    Values are deduplicated by equality, so a str subclass instance equal
+    to a plain str earlier in the same run is accepted here, where
+    ``serialize`` refuses it; in a run whose text fields each hold one
+    value, it renders as that plain str.
     """
     lines = []
     failed = 0
@@ -183,8 +193,9 @@ def serialize_batch(records) -> tuple[list[str], int]:
             continue
         text_fields, format_run = layout
         try:
-            for field in text_fields:
-                for value in set(map(field, run)):
+            distinct = [set(map(field, run)) for field in text_fields]
+            for values in distinct:
+                for value in values:
                     _check_signature(value)
         except (RecordFormatError, TypeError):  # TypeError: an unhashable value
             for record in run:
@@ -193,7 +204,10 @@ def serialize_batch(records) -> tuple[list[str], int]:
                 except RecordFormatError:
                     failed += 1
             continue
-        lines += format_run(run)
+        if kind is FullRecord and all(len(values) == 1 for values in distinct):
+            lines += _full_lines(run, [values.pop() for values in distinct])
+        else:
+            lines += format_run(run)
     return lines, failed
 
 

@@ -1,20 +1,28 @@
 """Per-thread trace bookkeeping: trace id, execution order index, stack size.
 
 Each thread owns one context; only the trace-id allocator is shared.
-A trace id of -1 means no trace is active on this thread. A trace starts
-on the first :meth:`TraceRegistry.enter_method` with none active (or
-explicitly via :meth:`TraceRegistry.begin_trace`) and ends automatically
-when the execution stack size returns to zero.
+A trace id of -1 means no trace is active on this thread. An entry at
+stack size 0 starts a trace (the one :meth:`TraceRegistry.begin_trace`
+started, if any), and the trace ends when the stack size returns to 0.
+
+A probe enters through :meth:`TraceRegistry.enter`, which returns the
+whole token, and leaves with one store: ``state.ess = ess`` from that
+token puts the stack back where the entry found it. A leave that fails
+after that store (a record the sink refuses) leaves the thread's trace
+state right for its next call.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+import time
 
-__all__ = ["NO_TRACE", "TraceRegistry", "reset_trace_id_allocator"]
+__all__ = ["NO_TRACE", "TraceRegistry", "monotonic_ns", "reset_trace_id_allocator"]
 
 NO_TRACE = -1
+
+monotonic_ns = time.perf_counter_ns
 
 # next() on a count is one C call under the GIL: ids never repeat across threads.
 _trace_ids = itertools.count()
@@ -27,14 +35,19 @@ def reset_trace_id_allocator() -> None:
 
 
 class _State:
-    """One thread's counters: plain slots, not thread-local attributes."""
+    """One thread's counters: plain slots, not thread-local attributes.
 
-    __slots__ = ("trace_id", "next_eoi", "ess")
+    ``trace_id`` is the current trace's id while ``ess`` > 0 or ``begun``
+    (a trace ``begin_trace`` started that no entry has joined yet).
+    """
+
+    __slots__ = ("trace_id", "next_eoi", "ess", "begun")
 
     def __init__(self):
         self.trace_id = NO_TRACE
         self.next_eoi = 0
         self.ess = 0
+        self.begun = False
 
 
 class _Context(threading.local):
@@ -56,34 +69,47 @@ class TraceRegistry:
 
     def recall_trace_id(self) -> int:
         """Current thread's trace id, or -1 when no trace is active."""
-        return self._ctx.state.trace_id
+        state = self._ctx.state
+        return state.trace_id if state.ess or state.begun else NO_TRACE
 
     def begin_trace(self) -> int:
         """Start a new trace on this thread and return its id."""
         state = self._ctx.state
-        if state.trace_id != NO_TRACE:
+        if state.ess or state.begun:
             raise RuntimeError(f"trace {state.trace_id} already active")
         state.trace_id = trace_id = next(_trace_ids)
-        state.next_eoi = 0
-        state.ess = 0
+        state.begun = True
         return trace_id
+
+    def enter(self) -> tuple:
+        """Record a method entry; returns ``(tin, state, trace_id, eoi, ess)``.
+
+        ``tin`` is the entry timestamp and ``state`` the thread's counters:
+        the method's exit stores ``state.ess = ess``. An entry at stack
+        size 0 starts a new trace unless ``begin_trace`` started one.
+        """
+        state = self._ctx.state
+        ess = state.ess
+        if ess:
+            trace_id = state.trace_id
+            eoi = state.next_eoi
+        elif state.begun:
+            state.begun = False
+            trace_id = state.trace_id
+            eoi = 0
+        else:
+            state.trace_id = trace_id = next(_trace_ids)
+            eoi = 0
+        state.next_eoi = eoi + 1
+        state.ess = ess + 1
+        return monotonic_ns(), state, trace_id, eoi, ess
 
     def enter_method(self) -> tuple[int, int, int]:
         """Record a method entry; returns (trace_id, eoi, ess) for the entry.
 
         Starts a new trace when none is active on this thread.
         """
-        state = self._ctx.state
-        trace_id = state.trace_id
-        if trace_id == NO_TRACE:
-            # No active trace means eoi and ess are 0 already: only
-            # exit_method ends a trace, and it does so at ess 0.
-            state.trace_id = trace_id = next(_trace_ids)
-        eoi = state.next_eoi
-        ess = state.ess
-        state.next_eoi = eoi + 1
-        state.ess = ess + 1
-        return trace_id, eoi, ess
+        return self.enter()[2:]
 
     def exit_method(self) -> None:
         """Record a method exit; ends the trace when the stack empties."""
@@ -92,6 +118,3 @@ class TraceRegistry:
         if ess < 0:
             raise RuntimeError("exit_method without matching enter_method")
         state.ess = ess
-        if ess == 0:
-            state.trace_id = NO_TRACE
-            state.next_eoi = 0

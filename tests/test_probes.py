@@ -48,6 +48,35 @@ def test_direct_full_depth_ten_chain():
     assert len({r.trace_id for r in sink.records}) == 1
 
 
+def _direct_full_call(emit):
+    probe = DirectFullProbe(emit)
+    return lambda: probe.exit("a()", probe.enter())
+
+
+@pytest.mark.parametrize("monitored", [
+    _direct_full_call,
+    lambda emit: intercept(lambda: None, "a()", emit),
+], ids=["direct", "intercept"])
+def test_a_refused_root_record_leaves_no_trace_open(monitored):
+    # The sink refuses the first root record; the next call still starts
+    # a trace of its own at eoi 0, ess 0.
+    refused, sink = [], Collector()
+
+    def emit(record):
+        if not refused:
+            refused.append(record)
+            raise OSError("no space left on device")
+        sink(record)
+
+    call = monitored(emit)
+    with pytest.raises(OSError):
+        call()
+    call()
+    (record,) = sink.records
+    assert (record.eoi, record.ess) == (0, 0)
+    assert record.trace_id == refused[0].trace_id + 1
+
+
 def test_direct_duration_emits_one_record_per_call():
     sink = Collector()
     probe = DirectDurationProbe(sink)

@@ -223,6 +223,16 @@ def test_serialize_batch_of_writer_size_refuses_only_the_bad_record(refusal, pos
     assert (len(lines), refused) == (1999, 1)
 
 
+@pytest.mark.parametrize("mixed", [
+    [replace(r, signature="bench.n()") if r.tin == 1234 else r for r in _full_run(2000)],
+    [replace(r, hostname=f"h{r.tin % 2}") for r in _full_run(2000)],
+], ids=["second signature", "alternating hostname"])
+def test_serialize_batch_of_writer_size_with_two_values_in_a_text_field(mixed):
+    # Not one probe's run: its text fields cannot be joined once for all.
+    assert serialize_batch(mixed) == _per_record(mixed)
+    assert len(set(serialize_batch(mixed)[0])) == 2000
+
+
 @pytest.mark.parametrize("second", [
     [DurationRecord("bench.m()", i) for i in range(1500)],
     [AggregatedRecord("bench.m()", 1000, i) for i in range(1500)],
