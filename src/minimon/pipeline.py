@@ -8,8 +8,10 @@ it takes every record present, serializes them with one
 the lines with one ``write`` and one ``flush``, and counts them as
 written only once the flush returned. On an empty queue it sleeps about
 a millisecond. ``shutdown`` closes the queue, which then counts every
-put as dropped; the writer drains what was enqueued and leaves, and the
-file is closed.
+put as dropped; the writer drains what was enqueued, and its empty drain
+seals the blocking queue, so a lock-free put that passed the open check
+before the close and lands later is dropped too. The writer leaves, and
+the file is closed.
 """
 
 from __future__ import annotations
@@ -102,8 +104,8 @@ class Pipeline:
                 # Event.wait locks even when set; reading the flag does not.
                 if not self._gate.is_set():
                     self._gate.wait()
-                # Read before the drain: puts after the close are dropped, so an
-                # empty drain that follows a closed read leaves nothing behind.
+                # Read before the drain: an empty drain of a closed queue seals
+                # it, and a put that lands after the seal is counted as dropped.
                 closed = queue.closed
                 batch = queue.drain()
                 if not batch:

@@ -11,7 +11,8 @@ monitored method with inline probe statements serves all three.
 * ``DirectDurationProbe`` -- minimal DurationRecords, touching no trace
   state.
 * ``AggregatingProbe`` -- sums durations per signature and emits one
-  AggregatedRecord per window of W invocations.
+  AggregatedRecord per window of W invocations; its ``exit`` holds the
+  one copy of the fold.
 * ``intercept`` -- a generic interception layer (per-call context
   allocation, dynamic dispatch, extra call indirection) that adapts a
   ``DirectFullProbe`` and so emits the same FullRecords; models the cost
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 from .records import AggregatedRecord, DurationRecord, FullRecord
 from .trace_registry import TraceRegistry, monotonic_ns
@@ -39,7 +40,6 @@ __all__ = [
     "DirectFullProbe",
     "DirectDurationProbe",
     "AggregatingProbe",
-    "aggregate_duration",
     "intercept",
     "BENCH_HOSTNAME",
     "BENCH_SESSION_ID",
@@ -83,15 +83,6 @@ class AggregationState:
         return record
 
 
-def aggregate_duration(state: AggregationState, duration: int) -> Optional[AggregatedRecord]:
-    """Fold one duration into the window; returns a record when it fills."""
-    state.sum += duration
-    state.counter += 1
-    if state.counter == state.window:
-        return state.close_window()
-    return None
-
-
 class DirectFullProbe:
     """Enter/exit probe emitting FullRecords with trace metadata from a
     trace registry of its own."""
@@ -123,13 +114,6 @@ class DirectDurationProbe:
         self._emit(DurationRecord(signature, monotonic_ns() - tin))
 
 
-class _ThreadStates(threading.local):
-    """Per-thread signature -> AggregationState table, made on first access."""
-
-    def __init__(self):
-        self.states = {}
-
-
 class AggregatingProbe:
     """Enter/exit probe that aggregates durations per signature.
 
@@ -145,22 +129,25 @@ class AggregatingProbe:
             raise ValueError(f"window must be >= 1, got {window}")
         self._emit = emit
         self.window = window
-        self._local = _ThreadStates()
+        # The local's ``__dict__`` is the calling thread's own dict: one
+        # lookup gives the signature -> AggregationState table.
+        self._local = threading.local()
 
     def exit(self, signature: str, tin: int) -> None:
         duration = monotonic_ns() - tin
         try:
-            state = self._local.states[signature]
+            state = self._local.__dict__[signature]
         except KeyError:
-            state = self._local.states[signature] = AggregationState(signature, self.window)
-        record = aggregate_duration(state, duration)
-        if record is not None:
-            self._emit(record)
+            state = self._local.__dict__[signature] = AggregationState(signature, self.window)
+        state.sum += duration
+        state.counter += 1
+        if state.counter == state.window:
+            self._emit(state.close_window())
 
     def flush(self) -> int:
         """Emit partial windows of the calling thread; returns emit count."""
         emitted = 0
-        for state in self._local.states.values():
+        for state in self._local.__dict__.values():
             if state.counter > 0:
                 self._emit(state.close_window())
                 emitted += 1

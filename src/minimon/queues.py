@@ -1,19 +1,28 @@
 """Bounded FIFO record queues: blocking linked queue vs. synchronized ring.
 
-``BlockingLinkedQueue`` blocks the producer when full. ``SyncRingQueue``
-is a ``deque(maxlen=capacity)`` ring that never blocks the producer:
-when full, the newest element overwrites the oldest. ``stats`` derives
-``overwritten`` as ``enqueued - dequeued - len``: only the ring evicts,
-so the put counts nothing but ``enqueued``.
+Both are safe for concurrent producers and one consumer, and the hand-off
+is per batch: a put wakes nobody, and the consumer calls ``drain`` to take
+every record present at once. A condition on the queue's one lock serves
+only a blocked put and the close. The queue owns the close: after
+``close`` a put is counted in ``dropped``, so each put is either enqueued
+or dropped.
 
-Both are safe for concurrent producers and one consumer. The hand-off is
-per batch, not per record: a put appends under one plain lock and wakes
-nobody; the consumer calls ``drain`` to take every record present under
-that lock, and wakes blocked producers only if the queue was full. A
-condition on the same lock serves only the full blocking put and the
-close. The queue owns the close: after ``close`` every put is refused
-and counted in ``dropped``, so each put is either enqueued or dropped,
-decided under the one lock.
+``BlockingLinkedQueue`` blocks the producer when full. A put into an open
+queue below capacity is one ``deque.append`` under the GIL and takes no
+lock; only a full or closed put takes it, to wait or to count the drop.
+Concurrent producers can pass the length check together, so the queue
+may overshoot ``capacity`` by at most producers - 1; it never evicts.
+``enqueued`` is derived as ``dequeued + len``. ``drain`` pops exactly the
+length it read, so an append that lands meanwhile stays for the next
+drain, and an empty drain after the close seals the queue: ``enqueued``
+freezes at ``dequeued``, and a record whose append passed the open check
+before the close but lands after the seal counts as dropped. A put is
+thus written or dropped, never lost.
+
+``SyncRingQueue`` is a ``deque(maxlen=capacity)`` ring that never blocks
+the producer: when full, the newest element overwrites the oldest. Its
+put appends and counts ``enqueued`` under the lock, and ``stats`` derives
+``overwritten`` as ``enqueued - dequeued - len``.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import collections
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat, starmap
 
 __all__ = ["QueueKind", "QueueStats", "BlockingLinkedQueue", "SyncRingQueue", "make_queue"]
 
@@ -43,22 +53,22 @@ class QueueStats:
 
 
 class _BoundedQueue:
-    """Deque of at most ``capacity`` records behind one lock.
+    """Deque of records, one lock, the close and the consumer's counters.
 
-    Subclasses supply ``put``, which decides what a full queue does. Only
-    the ring appends to a full deque, so only the ring evicts through
-    ``maxlen``.
+    Subclasses supply ``put``, ``drain`` and ``stats``. Every consumer step
+    and the close run under the lock; ``_not_full`` is a condition on it.
     """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
+    _sealed = False  # only the blocking queue seals
+
+    def __init__(self, capacity: int = DEFAULT_CAPACITY, maxlen: int | None = None):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._q = collections.deque(maxlen=capacity)
+        self._q = collections.deque(maxlen=maxlen)
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
         self.closed = False
-        self._enqueued = 0
         self._dequeued = 0
         self._dropped = 0
 
@@ -68,21 +78,11 @@ class _BoundedQueue:
             self.closed = True
             self._not_full.notify_all()
 
-    def drain(self) -> list:
-        """Remove and return every record present, oldest first."""
-        with self._lock:
-            batch = list(self._q)
-            self._q.clear()
-            self._dequeued += len(batch)
-            if len(batch) == self.capacity:  # it was full: wake blocked producers
-                self._not_full.notify_all()
-            return batch
-
     def take(self):
-        """Remove and return the oldest record, or None if empty."""
+        """Remove and return the oldest record, or None if empty or sealed."""
         with self._lock:
             q = self._q
-            if not q:
+            if not q or self._sealed:
                 return None
             was_full = len(q) >= self.capacity
             record = q.popleft()
@@ -94,30 +94,65 @@ class _BoundedQueue:
     def __len__(self) -> int:
         return len(self._q)
 
-    def stats(self) -> QueueStats:
-        with self._lock:
-            overwritten = self._enqueued - self._dequeued - len(self._q)
-            return QueueStats(self._enqueued, self._dequeued, overwritten,
-                              self.capacity, self._dropped)
-
 
 class BlockingLinkedQueue(_BoundedQueue):
     """Linked FIFO with a capacity bound; ``put`` blocks while full."""
 
     def put(self, record) -> None:
+        q = self._q
+        if len(q) < self.capacity and not self.closed:
+            q.append(record)  # one C call under the GIL: no lock
+        else:
+            self._put_full_or_closed(record)
+
+    def _put_full_or_closed(self, record) -> None:
         with self._lock:
             q = self._q
             while len(q) >= self.capacity and not self.closed:
                 self._not_full.wait()
             if self.closed:
                 self._dropped += 1
-                return
-            q.append(record)
-            self._enqueued += 1
+            else:
+                q.append(record)
+
+    def drain(self) -> list:
+        """Remove and return every record present, oldest first.
+
+        An empty drain of a closed queue seals it; a sealed queue drains
+        nothing more.
+        """
+        with self._lock:
+            if self._sealed:
+                return []
+            # Read before the length: a record put before the close is counted in it.
+            closed = self.closed
+            n = len(self._q)
+            if not n:
+                self._sealed = closed
+                return []
+            # Pop exactly n: an append landing meanwhile stays for the next drain.
+            batch = list(starmap(self._q.popleft, repeat((), n)))
+            self._dequeued += n
+            if n >= self.capacity:  # it was full: wake blocked producers
+                self._not_full.notify_all()
+            return batch
+
+    def stats(self) -> QueueStats:
+        with self._lock:
+            in_queue = len(self._q)
+            if self._sealed:  # enqueued froze at the seal; what landed since is dropped
+                return QueueStats(self._dequeued, self._dequeued, 0, self.capacity,
+                                  self._dropped + in_queue)
+            return QueueStats(self._dequeued + in_queue, self._dequeued, 0, self.capacity,
+                              self._dropped)
 
 
 class SyncRingQueue(_BoundedQueue):
     """Circular FIFO; a full ring overwrites its oldest element."""
+
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
+        super().__init__(capacity, maxlen=capacity)
+        self._enqueued = 0
 
     def put(self, record) -> None:
         with self._lock:
@@ -126,6 +161,20 @@ class SyncRingQueue(_BoundedQueue):
                 return
             self._q.append(record)  # a full ring evicts its oldest
             self._enqueued += 1
+
+    def drain(self) -> list:
+        """Remove and return every record present, oldest first."""
+        with self._lock:  # every put takes this lock: nothing lands in between
+            batch = list(self._q)
+            self._q.clear()
+            self._dequeued += len(batch)
+            return batch
+
+    def stats(self) -> QueueStats:
+        with self._lock:
+            overwritten = self._enqueued - self._dequeued - len(self._q)
+            return QueueStats(self._enqueued, self._dequeued, overwritten,
+                              self.capacity, self._dropped)
 
 
 def make_queue(kind: QueueKind, capacity: int = DEFAULT_CAPACITY):

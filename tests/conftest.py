@@ -1,3 +1,4 @@
+import collections
 import gc
 import sys
 
@@ -29,3 +30,40 @@ def python_calls():
         return calls
 
     return count
+
+
+class HookedDeque(collections.deque):
+    """A deque that runs a hook before each append, or before each take.
+
+    ``before_append`` models a producer preempted between a lock-free put's
+    checks and its append; ``before_take`` runs inside the consumer's drain
+    (a pop, or the clear of a copy-then-clear drain). A hook of None is off.
+    """
+
+    before_append = None
+    before_take = None
+
+    def append(self, record):
+        if self.before_append is not None:
+            self.before_append()
+        super().append(record)
+
+    def popleft(self):
+        if self.before_take is not None:
+            self.before_take()
+        return super().popleft()
+
+    def clear(self):
+        if self.before_take is not None:
+            self.before_take()
+        super().clear()
+
+
+@pytest.fixture
+def hooked_deque():
+    """``hook(queue)``: give a blocking queue a HookedDeque with its records."""
+    def hook(queue):
+        queue._q = HookedDeque(queue._q, queue._q.maxlen)
+        return queue._q
+
+    return hook

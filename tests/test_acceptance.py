@@ -14,9 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from minimon import probes
 from minimon.chart import render_depth_chart
 from minimon.pipeline import Pipeline, PipelineConfig, WriterKind
-from minimon.probes import AggregationState, ProbeKind, aggregate_duration
+from minimon.probes import AggregatingProbe, ProbeKind
 from minimon.queues import BlockingLinkedQueue, QueueKind, SyncRingQueue
 from minimon.records import (
     AggregatedRecord,
@@ -177,23 +178,23 @@ def test_criterion_4_queue_model_equivalence(capfd):
         assert time.monotonic() - started < 10
 
 
-def test_criterion_5_aggregation_conservation(capfd):
+def test_criterion_5_aggregation_conservation(capfd, monkeypatch):
     with criterion(5, "aggregation conservation", capfd):
         started = time.monotonic()
+        now = 10**12
+        # The probe's exit holds the one fold; a fixed clock sets each duration.
+        monkeypatch.setattr(probes, "monotonic_ns", lambda: now)
         rng = random.Random(5)
         for window in (1, 2, 3, 1000):
-            state = AggregationState("m()", window=window)
+            emitted = []
+            probe = AggregatingProbe(emitted.append, window=window)
             durations = [rng.randrange(0, 10**7) for _ in range(4000)]
-            emitted_count = 0
-            emitted_sum = 0
             for d in durations:
-                record = aggregate_duration(state, d)
-                if record is not None:
-                    assert record.count == window
-                    emitted_count += record.count
-                    emitted_sum += record.sum_duration
-            assert emitted_count + state.counter == len(durations)
-            assert emitted_sum + state.sum == sum(durations)
+                probe.exit("m()", now - d)
+            assert all(record.count == window for record in emitted)
+            probe.flush()
+            assert sum(record.count for record in emitted) == len(durations)
+            assert sum(record.sum_duration for record in emitted) == sum(durations)
         assert time.monotonic() - started < 1
 
 

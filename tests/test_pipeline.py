@@ -311,3 +311,27 @@ def test_producers_racing_shutdown_keep_counters_balanced(tmp_path, kind):
             assert stats.enqueued + stats.dropped == producers * per_producer
     finally:
         sys.setswitchinterval(switch_interval)
+
+
+def test_fast_put_held_past_close_and_final_drain_is_dropped(tmp_path, hooked_deque):
+    pipeline = null_pipeline(tmp_path).start()
+    deque = hooked_deque(pipeline.queue)
+    entered, release = threading.Event(), threading.Event()
+
+    def hold():
+        entered.set()
+        release.wait(timeout=5)
+
+    deque.before_append = hold
+    producer = threading.Thread(target=pipeline.new_monitoring_record,
+                                args=(DurationRecord("a()", 1),), daemon=True)
+    producer.start()
+    assert entered.wait(timeout=2)  # past the open check, before the append
+    report = pipeline.shutdown()  # the close, then the writer's final, empty drain
+    release.set()
+    producer.join(timeout=2)
+    assert not producer.is_alive()
+    stats = pipeline.queue.stats()
+    assert report.enqueued == stats.enqueued == 0
+    assert stats.enqueued == report.written + report.overwritten + report.failed
+    assert stats.dropped == 1

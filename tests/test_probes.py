@@ -3,13 +3,13 @@ import threading
 
 import pytest
 
+from minimon import probes
 from minimon.probes import (
     AggregatingProbe,
     AggregationState,
     CallContext,
     DirectDurationProbe,
     DirectFullProbe,
-    aggregate_duration,
     intercept,
 )
 from minimon.records import AggregatedRecord, DurationRecord, FullRecord
@@ -96,49 +96,66 @@ def test_direct_duration_touches_no_trace_state():
     assert registry.recall_trace_id() == -1
 
 
-def test_aggregate_window_fills_and_resets():
-    state = AggregationState("a()", window=3)
-    assert aggregate_duration(state, 10) is None
-    assert aggregate_duration(state, 20) is None
-    record = aggregate_duration(state, 30)
-    assert record == AggregatedRecord("a()", 3, 60)
-    assert (state.counter, state.sum) == (0, 0)
+NOW = 10**12
 
 
-def test_aggregate_partial_window_emits_nothing():
-    state = AggregationState("a()", window=3)
-    aggregate_duration(state, 10)
-    aggregate_duration(state, 20)
-    assert state.counter == 2
+@pytest.fixture
+def fold(monkeypatch):
+    """Feed durations through ``AggregatingProbe.exit`` under a fixed clock.
+
+    Returns the probe's sink and, per duration, the record its exit
+    emitted (or None).
+    """
+    monkeypatch.setattr(probes, "monotonic_ns", lambda: NOW)
+
+    def run(durations, window, probe=None):
+        sink = Collector()
+        probe = probe or AggregatingProbe(sink, window=window)
+        emitted = []
+        for d in durations:
+            before = len(sink.records)
+            probe.exit("a()", NOW - d)
+            emitted.append(sink.records[-1] if len(sink.records) > before else None)
+        return probe, sink, emitted
+
+    return run
 
 
-def test_aggregate_seven_durations_two_emissions():
+def test_aggregate_window_fills_and_resets(fold):
+    probe, sink, emitted = fold([10, 20, 30], window=3)
+    assert emitted == [None, None, AggregatedRecord("a()", 3, 60)]
+    assert probe.flush() == 0  # the window restarted empty
+
+
+def test_aggregate_partial_window_emits_nothing(fold):
+    probe, sink, emitted = fold([10, 20], window=3)
+    assert emitted == [None, None]
+    assert probe.flush() == 1
+    assert sink.records == [AggregatedRecord("a()", 2, 30)]
+
+
+def test_aggregate_seven_durations_two_emissions(fold):
     # brute-force fold: 7 durations, W=3 -> emissions after 3 and 6
-    state = AggregationState("a()", window=3)
     durations = [5, 7, 11, 13, 17, 19, 23]
-    emitted = [aggregate_duration(state, d) for d in durations]
+    probe, sink, emitted = fold(durations, window=3)
     records = [r for r in emitted if r is not None]
     assert [e is not None for e in emitted] == [
         False, False, True, False, False, True, False]
     assert records[0].sum_duration == 5 + 7 + 11
     assert records[1].sum_duration == 13 + 17 + 19
-    assert state.counter == 1 and state.sum == 23
+    probe.flush()
+    assert sink.records[-1] == AggregatedRecord("a()", 1, 23)
 
 
 @pytest.mark.parametrize("window", [1, 2, 3, 1000])
-def test_aggregation_conservation(window):
+def test_aggregation_conservation(fold, window):
     rng = random.Random(window)
-    state = AggregationState("a()", window=window)
     durations = [rng.randrange(0, 10**6) for _ in range(5000)]
-    total_count = 0
-    total_sum = 0
-    for d in durations:
-        record = aggregate_duration(state, d)
-        if record is not None:
-            total_count += record.count
-            total_sum += record.sum_duration
-    assert total_count + state.counter == len(durations)
-    assert total_sum + state.sum == sum(durations)
+    probe, sink, emitted = fold(durations, window=window)
+    assert all(r.count == window for r in sink.records)
+    probe.flush()
+    assert sum(r.count for r in sink.records) == len(durations)
+    assert sum(r.sum_duration for r in sink.records) == sum(durations)
 
 
 def test_aggregating_probe_flushes_residual():

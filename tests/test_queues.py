@@ -249,3 +249,94 @@ def test_producer_blocked_on_full_queue_drops_on_close():
     stats = queue.stats()
     assert (stats.enqueued, stats.dropped) == (1, 1)
     assert queue.take() == 1
+
+
+def overshoot(queue, hooked_deque, producers):
+    """Fill to capacity - 1, then race ``producers`` puts past the length check.
+
+    Each put's append waits until every producer has passed the check, so
+    all of them land. Returns the records put, oldest first.
+    """
+    records = list(range(queue.capacity - 1 + producers))
+    for record in records[:queue.capacity - 1]:
+        queue.put(record)
+    deque = hooked_deque(queue)
+    deque.before_append = threading.Barrier(producers, timeout=2).wait
+    threads = [threading.Thread(target=queue.put, args=(record,), daemon=True)
+               for record in records[queue.capacity - 1:]]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=2)
+        assert not thread.is_alive()
+    deque.before_append = None
+    return records
+
+
+@pytest.mark.parametrize("producers", [1, 2, 4])
+def test_producers_racing_at_capacity_minus_one_overshoot_by_at_most_producers_minus_one(
+        hooked_deque, producers):
+    queue = BlockingLinkedQueue(8)
+    records = overshoot(queue, hooked_deque, producers)
+    assert len(queue) == queue.capacity + producers - 1
+    stats = queue.stats()
+    assert (stats.enqueued, stats.overwritten, stats.dropped) == (len(records), 0, 0)
+    assert sorted(queue.drain()) == records  # nothing evicted
+    assert queue.stats().dequeued == len(records)
+
+
+def test_append_landing_mid_drain_is_neither_lost_nor_duplicated(hooked_deque):
+    queue = BlockingLinkedQueue(8)
+    for i in range(3):
+        queue.put(i)
+    deque = hooked_deque(queue)
+
+    def land_one_put():
+        deque.before_take = None
+        producer = threading.Thread(target=queue.put, args=(3,), daemon=True)
+        producer.start()
+        producer.join(timeout=2)
+        assert not producer.is_alive(), "the put waited for the drain's lock"
+
+    deque.before_take = land_one_put
+    assert queue.drain() == [0, 1, 2]
+    assert queue.drain() == [3]
+    stats = queue.stats()
+    assert (stats.enqueued, stats.dequeued, stats.dropped) == (4, 4, 0)
+
+
+def test_drain_larger_than_capacity_wakes_a_blocked_producer(hooked_deque):
+    queue = BlockingLinkedQueue(4)
+    records = overshoot(queue, hooked_deque, producers=2)
+    waiting = threading.Event()
+
+    class SignallingCondition(threading.Condition):
+        def wait(self, timeout=None):
+            waiting.set()  # the lock is still held: the drain cannot run before the wait
+            return super().wait(timeout)
+
+    queue._not_full = SignallingCondition(queue._lock)
+    blocked = threading.Thread(target=queue.put, args=("late",), daemon=True)
+    blocked.start()
+    try:
+        assert waiting.wait(timeout=2)
+        assert sorted(queue.drain()) == records  # capacity + 1 records
+        blocked.join(timeout=2)
+        assert not blocked.is_alive(), "the drain left the producer waiting"
+        assert queue.drain() == ["late"]
+    finally:
+        queue.close()
+        blocked.join(timeout=2)
+
+
+def test_empty_drain_of_closed_queue_seals_it(hooked_deque):
+    queue = BlockingLinkedQueue(4)
+    queue.put(1)
+    queue.close()
+    assert queue.drain() == [1]
+    assert queue.drain() == []  # sealed: enqueued is frozen at dequeued
+    hooked_deque(queue).append(2)  # an append that passed the open check before the close
+    assert queue.drain() == []
+    assert queue.take() is None
+    stats = queue.stats()
+    assert (stats.enqueued, stats.dequeued, stats.dropped) == (1, 1, 1)
