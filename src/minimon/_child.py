@@ -52,10 +52,15 @@ def run_child(child_config: dict) -> None:
     samples = [0] * n
     checksum = 0
     gc_before = gc.get_stats()
+    # The producer's CPU time is read inside the wall interval, so it cannot exceed it.
+    wall_before = time.perf_counter()
+    cpu_before = time.thread_time()
     for i in range(n):
         t0 = clock()
         checksum += call(depth)
         samples[i] = clock() - t0 - busy_ns
+    cpu_after = time.thread_time()
+    wall_after = time.perf_counter()
     gc_after = gc.get_stats()
 
     chain.flush()
@@ -97,6 +102,8 @@ def run_child(child_config: dict) -> None:
             "switch_interval_s": sys.getswitchinterval(),
             "gc_collections": [after["collections"] - before["collections"]
                                for before, after in zip(gc_before, gc_after)],
+            "loop_wall_s": wall_after - wall_before,
+            "producer_cpu_s": cpu_after - cpu_before,
         },
         "failed": False,
     }

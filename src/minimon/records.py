@@ -11,8 +11,11 @@ Three record kinds flow through the pipeline:
 Records serialize to single semicolon-delimited lines with a leading
 variant tag (``OER``, ``DUR``, ``AGG``). The format round-trips exactly.
 ``serialize`` renders one record; the writer renders each batch with
-``serialize_batch``, which produces the same lines through the same
-per-type formatter, one comprehension per run of records of one type.
+``serialize_batch``, which produces the same lines, one comprehension per
+run of records of one type. A run of one probe's ``FullRecord``s, whose
+text fields are the very same objects, is checked and formatted in one
+pass; any other run is checked per distinct text value and formatted
+through the per-type formatter ``serialize`` uses.
 
 The records are slotted but not frozen: every probe's hot path builds one
 per call, and a frozen ``__init__`` sets each field through
@@ -116,19 +119,12 @@ def _check_signature(value: object) -> None:
     raise RecordFormatError(f"signature contains control character: {value!r}")
 
 
-def _full_lines(records, constant=None) -> list[str]:
-    # ``constant``: the run's one (signature, hostname, session_id), joined
-    # once into the text around the integer fields.
-    if constant is None:
-        return [
-            f"OER;{r.signature};{r.tin};{r.tout};{r.trace_id};{r.eoi};{r.ess};"
-            f"{r.hostname};{r.session_id}"
-            for r in records
-        ]
-    signature, hostname, session_id = constant
-    head = f"OER;{signature};"
-    tail = f";{hostname};{session_id}"
-    return [f"{head}{r.tin};{r.tout};{r.trace_id};{r.eoi};{r.ess}{tail}" for r in records]
+def _full_lines(records) -> list[str]:
+    return [
+        f"OER;{r.signature};{r.tin};{r.tout};{r.trace_id};{r.eoi};{r.ess};"
+        f"{r.hostname};{r.session_id}"
+        for r in records
+    ]
 
 
 def _duration_lines(records) -> list[str]:
@@ -167,21 +163,71 @@ def serialize(record: MonitoringRecord) -> str:
     return format_run((record,))[0]
 
 
+# str(n) for the eoi and ess of a trace of up to 1 024 calls, since eoi is
+# bounded by the trace's size and ess by its depth. A value outside the
+# table raises KeyError, which sends its run to the distinct-value path.
+_DECIMAL = {n: str(n) for n in range(1024)}
+
+
+def _one_probe_lines(run) -> list[str] | None:
+    """The lines of a ``FullRecord`` run whose text fields are one probe's
+    objects, or None when the run is not such a run.
+
+    One probe hands every record the same signature, host and session
+    objects, so the first record's three values are checked once, and a
+    record is formatted only when its fields *are* those objects and its
+    eoi and ess are exact ints (``True`` and ``1.0`` equal 1 but render
+    otherwise). The run is clean when no record was left out.
+    """
+    first, last = run[0], run[-1]
+    signature, hostname, session_id = first.signature, first.hostname, first.session_id
+    if (last.signature is not signature or last.hostname is not hostname
+            or last.session_id is not session_id):
+        return None
+    try:
+        for value in (signature, hostname, session_id):
+            _check_signature(value)
+        head = f"OER;{signature};"
+        tail = f";{hostname};{session_id}"
+        decimal = _DECIMAL
+        lines = [f"{head}{r.tin};{r.tout};{r.trace_id};{decimal[r.eoi]};{decimal[r.ess]}{tail}"
+                 for r in run
+                 if r.signature is signature and r.hostname is hostname
+                 and r.session_id is session_id and type(r.eoi) is int is type(r.ess)]
+    except (RecordFormatError, KeyError):
+        return None
+    return lines if len(lines) == len(run) else None
+
+
+def _text_is_safe(run, text_fields) -> bool:
+    # Each field's values are exactly str, so that a subclass cannot pass as
+    # the plain str it equals; then each distinct value is checked once.
+    for field in text_fields:
+        column = list(map(field, run))
+        if set(map(type, column)) != {str}:
+            return False
+        try:
+            for value in set(column):
+                _check_signature(value)
+        except RecordFormatError:
+            return False
+    return True
+
+
 def serialize_batch(records) -> tuple[list[str], int]:
     """Render a batch: ``(lines, failed)``.
 
     ``lines`` are ``serialize(r)``, in order, for every record it accepts;
     ``failed`` counts the records it refuses, which spoil nothing else.
-    The batch is taken in runs of one record type. A run's text fields are
-    checked once per distinct value, since a batch from one probe repeats
-    the same few strings, and a clean run is formatted with one call; a run
-    holding a refused or unhashable value goes through ``serialize`` record
-    by record. A clean ``FullRecord`` run whose three text fields each hold
-    one value, as one probe's do, has them joined once for the whole run.
-    Values are deduplicated by equality, so a str subclass instance equal
-    to a plain str earlier in the same run is accepted here, where
-    ``serialize`` refuses it; in a run whose text fields each hold one
-    value, it renders as that plain str.
+    The batch is taken in runs of one record type. A ``FullRecord`` run
+    whose first and last records share their text objects, as one probe's
+    records do, is checked and formatted in one pass: its three text values
+    are checked once, ``OER;<signature>;`` and ``;<hostname>;<session_id>``
+    are joined once, and eoi and ess come from a table of decimal strings.
+    Any other run, and a run from which that pass leaves out a record, has
+    each text field checked to hold only exact ``str`` values, each
+    distinct value checked once, and is formatted with one call; a run
+    holding a refused value goes through ``serialize`` record by record.
     """
     lines = []
     failed = 0
@@ -191,23 +237,20 @@ def serialize_batch(records) -> tuple[list[str], int]:
         if layout is None:
             failed += len(run)
             continue
+        if kind is FullRecord:
+            clean = _one_probe_lines(run)
+            if clean is not None:
+                lines += clean
+                continue
         text_fields, format_run = layout
-        try:
-            distinct = [set(map(field, run)) for field in text_fields]
-            for values in distinct:
-                for value in values:
-                    _check_signature(value)
-        except (RecordFormatError, TypeError):  # TypeError: an unhashable value
-            for record in run:
-                try:
-                    lines.append(serialize(record))
-                except RecordFormatError:
-                    failed += 1
-            continue
-        if kind is FullRecord and all(len(values) == 1 for values in distinct):
-            lines += _full_lines(run, [values.pop() for values in distinct])
-        else:
+        if _text_is_safe(run, text_fields):
             lines += format_run(run)
+            continue
+        for record in run:
+            try:
+                lines.append(serialize(record))
+            except RecordFormatError:
+                failed += 1
     return lines, failed
 
 

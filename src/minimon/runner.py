@@ -15,7 +15,8 @@ Per run the child persists:
 * ``metadata.json`` -- config echo, process id, pipeline counters,
   clock resolution estimate, workload checksum, and the environment:
   interpreter, CPU count and affinity, GIL switch interval, and garbage
-  collections per generation during the measured loop.
+  collections per generation, wall time and producer thread CPU time
+  during the measured loop.
 * ``monitoring.log`` -- the monitoring output (file writer only; can be
   dropped after line-counting via ``keep_monitoring_log=False``).
 

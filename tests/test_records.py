@@ -254,3 +254,101 @@ def test_serialize_batch_opens_as_many_python_frames_for_2000_clean_records_as_f
         python_calls):
     assert python_calls(serialize_batch, _full_run(10)) == python_calls(
         serialize_batch, _full_run(2000))
+
+
+class _Evil(str):
+    """A str that renders as something else in an f-string."""
+
+    def __format__(self, spec):
+        return "EVIL"
+
+
+@pytest.mark.parametrize("batch", [
+    [FullRecord("bench.m()", 1, 2, 0, 0, 0, "h", "s"),
+     FullRecord("bench.n()", 3, 4, 0, 0, 0, "h", "s"),
+     FullRecord(_Evil("bench.m()"), 3, 4, 0, 0, 0, "h", "s")],
+    [DurationRecord("bench.m()", 1), DurationRecord(_Evil("bench.m()"), 2)],
+], ids=["full run of two signatures", "duration run"])
+def test_serialize_batch_refuses_a_str_subclass_equal_to_a_checked_str(batch):
+    assert serialize_batch(batch) == _per_record(batch)
+    assert serialize_batch(batch)[1] == 1
+
+
+@pytest.mark.parametrize("field", ["signature", "hostname", "session_id"])
+@pytest.mark.parametrize("spoil", [
+    lambda value: "".join(["", value, ""]),  # equal, but not the same object
+    _Evil,
+    lambda value: value + "x",
+], ids=["equal copy", "str subclass", "other value"])
+def test_serialize_batch_of_one_probe_with_one_record_not_sharing_a_text_object(field, spoil):
+    batch = _full_run(2000)
+    batch[1000] = replace(batch[1000], **{field: spoil(getattr(batch[1000], field))})
+    assert serialize_batch(batch) == _per_record(batch)
+
+
+def _set_after_construction(record, **values):
+    for name, value in values.items():
+        setattr(record, name, value)
+    return record
+
+
+@pytest.mark.parametrize("field", ["eoi", "ess"])
+@pytest.mark.parametrize("value", [1023, 1024, 10**6, -1, True, False, 1.0, 1.5],
+                         ids=repr)
+def test_serialize_batch_of_one_probe_renders_eoi_and_ess_as_serialize_does(field, value):
+    # 1023 is the table's last entry and 1024 one past it; True and 1.0
+    # equal table keys but render otherwise; -1 only gets in after construction.
+    batch = _full_run(2000)
+    batch[1000] = _set_after_construction(batch[1000], **{field: value})
+    assert serialize_batch(batch) == _per_record(batch)
+    assert len(serialize_batch(batch)[0]) == 2000
+
+
+@pytest.mark.parametrize("n", [2000, 2001])
+def test_serialize_batch_of_two_probes_interleaved(n):
+    # Even n: the first and last records are from different probes; odd n:
+    # both are from the first probe, and the second one's lie between.
+    batch = [FullRecord("bench.m()" if i % 2 else "bench.n()", i, i + 7, i // 10, i % 10,
+                        i % 10, "h", "s") for i in range(n)]
+    assert serialize_batch(batch) == _per_record(batch)
+    assert len(set(serialize_batch(batch)[0])) == n
+
+
+_ONE_PROBE_SPOILERS = [
+    lambda r: replace(r, signature="".join(["", r.signature, ""])),
+    lambda r: replace(r, hostname=_Evil(r.hostname)),
+    lambda r: replace(r, session_id=r.session_id + ";"),
+    lambda r: replace(r, signature="bench.other()"),
+    lambda r: _set_after_construction(r, eoi=-1),
+    lambda r: _set_after_construction(r, ess=True),
+    lambda r: _set_after_construction(r, eoi=2.0),
+    lambda r: DurationRecord(r.signature, 5),
+]
+
+
+# Around the end of the decimal table, and far past it.
+trace_positions = st.one_of(st.integers(0, 1100), st.sampled_from([1023, 1024, 10**6]))
+
+
+@given(
+    text=st.tuples(signatures, signatures, signatures),
+    rows=st.lists(st.tuples(
+        trace_positions, trace_positions,
+        # About three records in four stay as the probe built them.
+        st.one_of(st.none(), st.none(), st.none(), st.sampled_from(_ONE_PROBE_SPOILERS))),
+        min_size=1, max_size=40),
+)
+@settings(max_examples=300)
+def test_serialize_batch_of_one_probes_records_matches_per_record_serialize(text, rows):
+    # One probe's records share their text objects; some are then spoiled.
+    signature, hostname, session_id = text
+    batch = []
+    for i, (eoi, ess, spoil) in enumerate(rows):
+        record = FullRecord(signature, i, i + 3, 7, eoi, ess, hostname, session_id)
+        batch.append(record if spoil is None else spoil(record))
+    assert serialize_batch(batch) == _per_record(batch)
+
+
+def test_serialize_batch_of_one_probe_with_an_unsafe_shared_value_refuses_every_record():
+    batch = [replace(r, signature="bench;m()") for r in _full_run(10)]
+    assert serialize_batch(batch) == _per_record(batch) == ([], 10)

@@ -133,6 +133,16 @@ def test_metadata_records_the_childs_environment(tmp_path):
     assert environments["idle"]["gc_collections"] == [0, 0, 0]
 
 
+def test_metadata_records_the_loops_wall_and_producer_cpu_time(tmp_path):
+    # With the file writer, the loop's wall time is the producer's CPU time
+    # plus the writer's share; the producer's is read inside the wall interval.
+    config = tiny_config(probe=ProbeKind.DIRECT_FULL, writer=WriterKind.FILE, depth=10,
+                         iterations=2000, runs=1)
+    run_config(config, tmp_path)
+    env = json.loads((tmp_path / "tiny" / "run_0" / "metadata.json").read_text())["environment"]
+    assert 0 < env["producer_cpu_s"] <= env["loop_wall_s"]
+
+
 def test_runs_come_from_distinct_processes(tmp_path):
     config = tiny_config(iterations=20, runs=2)
     run_config(config, tmp_path)
