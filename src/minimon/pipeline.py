@@ -4,8 +4,9 @@
 nobody, so a probe emits straight into the queue. All serialization and
 file I/O happens on the single writer thread. It drains whole batches:
 it takes every record present, serializes them with one
-``serialize_batch`` call (a refused record is counted as failed), writes
-the lines with one ``write`` and one ``flush``, and counts them as
+``serialize_batch`` call (a refused record is counted as failed), lets
+go of the batch, so that its records are dead before the GIL is released,
+writes the lines with one ``write`` and one ``flush``, and counts them as
 written only once the flush returned. On an empty queue it sleeps about
 a millisecond. ``shutdown`` closes the queue, which then counts every
 put as dropped; the writer drains what was enqueued, and its empty drain
@@ -117,6 +118,10 @@ class Pipeline:
                     written += len(batch)
                     continue
                 lines, refused = serialize_batch(batch)
+                # Let the records go before the write and flush release the
+                # GIL: a collection the producer runs meanwhile would
+                # otherwise traverse, and promote, a batch already formatted.
+                del batch
                 failed += refused
                 if lines:
                     written_now = len(lines)

@@ -7,7 +7,11 @@ monitored method with inline probe statements serves all three.
 * ``DirectFullProbe`` -- FullRecords with trace metadata; its ``enter``
   is the trace registry's, one call per entry that hands out the whole
   token (the entry timestamp and the trace position, starting a trace at
-  the outermost entry), and its exit calls nothing in the registry.
+  the outermost entry), and its exit calls nothing in the registry. The
+  exit allocates its record with ``object.__new__`` and runs
+  ``FullRecord.__init__``, with its checks, as a plain function, so the
+  interpreter pushes that frame inline instead of going through
+  ``type.__call__``; the record is the same as ``FullRecord(...)``'s.
 * ``DirectDurationProbe`` -- minimal DurationRecords, touching no trace
   state.
 * ``AggregatingProbe`` -- sums durations per signature and emits one
@@ -53,6 +57,13 @@ BENCH_SESSION_ID = "s0"
 
 DEFAULT_AGGREGATION_WINDOW = 1000
 
+# ``DirectFullProbe.exit`` builds its record from these two, not through
+# ``FullRecord(...)``: a call on a class runs ``type.__call__``, which runs
+# ``__init__`` in an eval loop of its own, while a call on the plain
+# function is pushed inline in the caller's. ``__init__`` keeps the checks.
+_new_object = object.__new__
+_init_full_record = FullRecord.__init__
+
 
 class ProbeKind(Enum):
     NONE = "none"
@@ -95,11 +106,13 @@ class DirectFullProbe:
     def exit(self, signature: str, token) -> None:
         tout = monotonic_ns()
         tin, state, trace_id, eoi, ess = token
-        # Leave the method before emitting: a refused record must not
-        # leave the thread's trace open.
+        # Leave the method before building the record: a refused record
+        # must not leave the thread's trace open.
         state.ess = ess
-        self._emit(FullRecord(signature, tin, tout, trace_id, eoi, ess,
-                              BENCH_HOSTNAME, BENCH_SESSION_ID))
+        record = _new_object(FullRecord)
+        _init_full_record(record, signature, tin, tout, trace_id, eoi, ess,
+                          BENCH_HOSTNAME, BENCH_SESSION_ID)
+        self._emit(record)
 
 
 class DirectDurationProbe:

@@ -23,7 +23,11 @@ per call, and a frozen ``__init__`` sets each field through
 They still compare and hash by value; nothing assigns to a field after
 construction. ``FullRecord``, built once per level of a monitored chain,
 checks its fields in its own ``__init__`` rather than a ``__post_init__``,
-so building one takes one Python frame instead of two.
+so building one takes one Python frame instead of two. The full probe
+builds its records with ``object.__new__(FullRecord)`` and a plain call of
+``FullRecord.__init__``, which skips ``type.__call__``; every other caller
+uses ``FullRecord(...)``, and both ways run the same checks. The writer
+drops a batch's records once it has formatted them, before it writes.
 """
 
 from __future__ import annotations

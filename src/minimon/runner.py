@@ -24,7 +24,9 @@ Each run is checked as it lands, by the loader ``report`` uses: a failed
 run, a config echo or counters that do not parse, counters that break
 ``enqueued == written + overwritten + failed`` or a bad ``samples.csv``
 stops the suite at once. The child checks its counters with the same rule
-before it writes ``metadata.json``.
+before it writes ``metadata.json``. ``report`` also refuses a result
+directory that lacks a run its config echo counts, holds one more, or
+whose runs echo different configs.
 """
 
 from __future__ import annotations
@@ -376,13 +378,33 @@ def _run_index(entry: Path) -> int:
 
 
 def load_sample_set(result_dir: str | Path) -> tuple[SampleSet, list[dict]]:
-    """Load a persisted result directory; returns (samples, run metadata)."""
+    """Load a persisted result directory; returns (samples, run metadata).
+
+    Refused unless its runs are exactly ``run_0`` … ``run_<runs - 1>`` of
+    the first run's config echo, and every run echoes that same config.
+    """
     result_dir = Path(result_dir)
     run_dirs = sorted(result_dir.glob("run_*"), key=_run_index)
     if not run_dirs:
         raise BenchmarkError(f"{result_dir}: no run directories found")
-    loaded = [_load_run(run_dir) for run_dir in run_dirs]
+    loaded = [_load_run(run_dirs[0])]
     config = loaded[0][1]
+    names = [run_dir.name for run_dir in run_dirs]
+    expected = [f"run_{index}" for index in range(config.runs)]
+    if names != expected:
+        missing = [name for name in expected if name not in names] or "none"
+        unexpected = [name for name in names if name not in expected] or "none"
+        raise BenchmarkError(
+            f"{result_dir}: the runs do not match the {config.runs} of the config echo "
+            f"in {names[0]}: missing {missing}, unexpected {unexpected}")
+    for run_dir in run_dirs[1:]:
+        loaded.append(_load_run(run_dir))
+        echo = loaded[-1][1]
+        if echo != config:
+            differ = [f.name for f in fields(config)
+                      if getattr(echo, f.name) != getattr(config, f.name)]
+            raise BenchmarkError(
+                f"{run_dir}: config echo differs from run_0's in {', '.join(map(repr, differ))}")
     sample_set = SampleSet(config_id=config.config_id, depth=config.workload.depth,
                            warmup_fraction=config.warmup_fraction,
                            runs=[samples for _, _, samples in loaded])

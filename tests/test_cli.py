@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -159,6 +160,24 @@ def test_report_metadata_without_config_names_run_dir(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("minimon: error: ")
         assert str(meta_path.parent) in err and named in err
+
+
+def test_report_refuses_a_result_with_a_missing_or_mixed_run(tmp_path, capsys):
+    suite = tiny_suite(tmp_path, n=3)
+    out = tmp_path / "results"
+    main(["run", "--config", suite, "--out", str(out)])
+    capsys.readouterr()
+    meta_path = out / "dur" / "run_2" / "metadata.json"
+    meta = json.loads(meta_path.read_text())
+    meta["config"]["workload"]["depth"] = 7
+    meta_path.write_text(json.dumps(meta))
+    assert main(["report", "--in", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("minimon: error: ") and str(meta_path.parent) in err
+    shutil.rmtree(out / "dur" / "run_1")
+    assert main(["report", "--in", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("minimon: error: ") and "missing ['run_1']" in err
 
 
 def test_sweep_and_plot(tmp_path, capsys):

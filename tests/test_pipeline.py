@@ -1,3 +1,4 @@
+import gc
 import os
 import sys
 import threading
@@ -6,9 +7,9 @@ import time
 import pytest
 
 from minimon.pipeline import Pipeline, PipelineConfig, WriterKind
-from minimon.probes import ProbeKind
+from minimon.probes import DirectFullProbe, ProbeKind
 from minimon.queues import QueueKind
-from minimon.records import DurationRecord, deserialize
+from minimon.records import DurationRecord, FullRecord, deserialize
 
 
 def null_pipeline(tmp_path, queue=QueueKind.BLOCKING_LINKED, capacity=16):
@@ -131,6 +132,38 @@ def test_paused_full_queue_drains_completely_at_shutdown(tmp_path):
     lines = (tmp_path / "m.log").read_text().splitlines()
     assert report.written == report.enqueued == capacity
     assert [deserialize(line) for line in lines] == records
+
+
+def test_a_written_batchs_records_are_dead_during_the_write(tmp_path, monkeypatch):
+    # The write and the flush release the GIL; a collection the producer
+    # runs meanwhile must find none of the records being written.
+    live_at_write = []
+
+    class LiveRecordFile:
+        def write(self, text):
+            tins = {int(line.split(";")[2]) for line in text.splitlines()}
+            live = {o.tin for o in gc.get_objects() if type(o) is FullRecord}
+            live_at_write.append(tins & live)
+
+        def flush(self):
+            pass
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr("minimon.pipeline.open", lambda *args, **kwargs: LiveRecordFile(),
+                        raising=False)
+    pipeline = Pipeline(PipelineConfig(
+        probe=ProbeKind.DIRECT_FULL, queue_capacity=10_000, writer=WriterKind.FILE,
+        output_path=str(tmp_path / "m.log"))).start()
+    pipeline.pause_writer()
+    probe = DirectFullProbe(pipeline.new_monitoring_record)
+    for _ in range(1000):
+        probe.exit("a()", probe.enter())
+    pipeline.resume_writer()
+    assert pipeline.shutdown().written == 1000
+    assert live_at_write
+    assert [len(live) for live in live_at_write] == [0] * len(live_at_write)
 
 
 def test_unwritable_output_path_fails_at_start(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import os
 import platform
+import shutil
 import sys
 from dataclasses import replace
 
@@ -210,6 +211,31 @@ def test_load_sample_set_names_a_stray_run_entry(tmp_path, stray):
     run_config(tiny_config(iterations=20, runs=1), tmp_path)
     (tmp_path / "tiny" / stray).mkdir()
     with pytest.raises(BenchmarkError, match=stray):
+        load_sample_set(tmp_path / "tiny")
+
+
+@pytest.mark.parametrize("gone", ["run_0", "run_1"])
+def test_load_sample_set_refuses_a_missing_run(tmp_path, gone):
+    run_config(tiny_config(probe=ProbeKind.DIRECT_DURATION, iterations=20, runs=3), tmp_path)
+    shutil.rmtree(tmp_path / "tiny" / gone)
+    with pytest.raises(BenchmarkError, match=f"tiny.*missing \\['{gone}'\\]"):
+        load_sample_set(tmp_path / "tiny")
+
+
+def test_load_sample_set_refuses_a_run_beyond_the_config(tmp_path):
+    run_config(tiny_config(probe=ProbeKind.DIRECT_DURATION, iterations=20, runs=3), tmp_path)
+    shutil.copytree(tmp_path / "tiny" / "run_2", tmp_path / "tiny" / "run_3")
+    with pytest.raises(BenchmarkError, match="tiny.*unexpected \\['run_3'\\]"):
+        load_sample_set(tmp_path / "tiny")
+
+
+def test_load_sample_set_refuses_a_run_with_another_config(tmp_path):
+    run_config(tiny_config(probe=ProbeKind.DIRECT_DURATION, iterations=20, runs=3), tmp_path)
+    meta_path = tmp_path / "tiny" / "run_2" / "metadata.json"
+    meta = json.loads(meta_path.read_text())
+    meta["config"]["workload"]["depth"] = 7
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(BenchmarkError, match="run_2.*differs from run_0's in 'workload'"):
         load_sample_set(tmp_path / "tiny")
 
 
