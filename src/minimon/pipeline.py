@@ -4,8 +4,9 @@
 nobody, so a probe emits straight into the queue. All serialization and
 file I/O happens on the single writer thread. It drains whole batches:
 it takes every record present, serializes them with one
-``serialize_batch`` call (a refused record is counted as failed), lets
-go of the batch, so that its records are dead before the GIL is released,
+``serialize_batch`` call (a record ``serialize`` refuses is counted as
+failed: no record, a text field that is not a safe str, or an eoi or
+ess that cannot be hashed), lets go of the batch, so that its records are dead before the GIL is released,
 writes the lines with one ``write`` and one ``flush``, and counts them as
 written only once the flush returned. On an empty queue it sleeps about
 a millisecond. ``shutdown`` closes the queue, which then counts every

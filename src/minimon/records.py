@@ -10,12 +10,9 @@ Three record kinds flow through the pipeline:
 
 Records serialize to single semicolon-delimited lines with a leading
 variant tag (``OER``, ``DUR``, ``AGG``). The format round-trips exactly.
-``serialize`` renders one record; the writer renders each batch with
-``serialize_batch``, which produces the same lines, one comprehension per
-run of records of one type. A run of one probe's ``FullRecord``s, whose
-text fields are the very same objects, is checked and formatted in one
-pass; any other run is checked per distinct text value and formatted
-through the per-type formatter ``serialize`` uses.
+Each record type has one formatter, which ``serialize`` runs over one
+record and the writer's ``serialize_batch`` over each run of records of
+one type that share their text objects, as one probe's records do.
 
 The records are slotted but not frozen: every probe's hot path builds one
 per call, and a frozen ``__init__`` sets each field through
@@ -35,7 +32,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from itertools import groupby
-from operator import attrgetter
 from typing import Union, get_type_hints
 
 __all__ = [
@@ -123,99 +119,80 @@ def _check_signature(value: object) -> None:
     raise RecordFormatError(f"signature contains control character: {value!r}")
 
 
-def _full_lines(records) -> list[str]:
-    return [
-        f"OER;{r.signature};{r.tin};{r.tout};{r.trace_id};{r.eoi};{r.ess};"
-        f"{r.hostname};{r.session_id}"
-        for r in records
-    ]
+# str(n) for the eoi and ess of a trace of up to 1 024 calls, since eoi is
+# bounded by the trace's size and ess by its depth. The batch reads this
+# exact dict, whose subscript CPython specializes and a subclass's it does
+# not; a miss there sends the run through serialize.
+_DECIMAL = {n: str(n) for n in range(1024)}
 
 
-def _duration_lines(records) -> list[str]:
-    return [f"DUR;{r.signature};{r.duration}" for r in records]
+class _AnyDecimal(dict):
+    """``_DECIMAL``, and ``str(n)`` for every other hashable ``n``."""
+
+    def __missing__(self, n):
+        return str(n)
 
 
-def _aggregated_lines(records) -> list[str]:
-    return [f"AGG;{r.signature};{r.count};{r.sum_duration}" for r in records]
+_ANY_DECIMAL = _AnyDecimal(_DECIMAL)
 
 
-_signature = attrgetter("signature")
+# A formatter takes a run of one record type, a decimal table and the first
+# record's text values. It joins the parts the run shares once and formats,
+# in one comprehension, every record whose text fields *are* those objects.
+def _full_lines(run, decimal, signature, hostname, session_id) -> list[str]:
+    head = f"OER;{signature};"
+    tail = f";{hostname};{session_id}"
+    return [f"{head}{r.tin};{r.tout};{r.trace_id};{decimal[r.eoi]};{decimal[r.ess]}{tail}"
+            for r in run
+            if r.signature is signature and r.hostname is hostname and r.session_id is session_id]
 
-# Record type -> (a getter per text field, the formatter of a list of such
-# records). The one formatting path: serialize and serialize_batch both go
-# through it.
+
+def _duration_lines(run, decimal, signature) -> list[str]:
+    head = f"DUR;{signature};"
+    return [f"{head}{r.duration}" for r in run if r.signature is signature]
+
+
+def _aggregated_lines(run, decimal, signature) -> list[str]:
+    head = f"AGG;{signature};"
+    return [f"{head}{r.count};{r.sum_duration}" for r in run if r.signature is signature]
+
+
+# Record type -> (its text fields, its formatter).
 _LAYOUTS = {
-    FullRecord: ((_signature, attrgetter("hostname"), attrgetter("session_id")), _full_lines),
-    DurationRecord: ((_signature,), _duration_lines),
-    AggregatedRecord: ((_signature,), _aggregated_lines),
+    FullRecord: (("signature", "hostname", "session_id"), _full_lines),
+    DurationRecord: (("signature",), _duration_lines),
+    AggregatedRecord: (("signature",), _aggregated_lines),
 }
+
+
+def _run_lines(run, decimal) -> list[str] | None:
+    """The lines of a run of one record type, or None when the formatter
+    left a record out. Raises RecordFormatError for a run of no record type
+    or a refused first text value, and whatever ``decimal`` raises for an
+    eoi or ess it does not hold."""
+    first = run[0]
+    layout = _LAYOUTS.get(type(first))
+    if layout is None:
+        raise RecordFormatError(f"not a monitoring record: {first!r}")
+    text_fields, format_run = layout
+    values = [getattr(first, name) for name in text_fields]
+    for value in values:
+        _check_signature(value)
+    lines = format_run(run, decimal, *values)
+    return lines if len(lines) == len(run) else None
 
 
 def serialize(record: MonitoringRecord) -> str:
     """Render a record as one text line (no trailing newline).
 
     Raises RecordFormatError for anything that is not a monitoring record,
-    and for a text field that is not a str or holds the delimiter or a
-    control character.
+    for a text field that is not a str or holds the delimiter or a control
+    character, and for an eoi or ess that cannot be hashed.
     """
-    layout = _LAYOUTS.get(type(record))
-    if layout is None:
-        raise RecordFormatError(f"not a monitoring record: {record!r}")
-    text_fields, format_run = layout
-    for field in text_fields:
-        _check_signature(field(record))
-    return format_run((record,))[0]
-
-
-# str(n) for the eoi and ess of a trace of up to 1 024 calls, since eoi is
-# bounded by the trace's size and ess by its depth. A value outside the
-# table raises KeyError, which sends its run to the distinct-value path.
-_DECIMAL = {n: str(n) for n in range(1024)}
-
-
-def _one_probe_lines(run) -> list[str] | None:
-    """The lines of a ``FullRecord`` run whose text fields are one probe's
-    objects, or None when the run is not such a run.
-
-    One probe hands every record the same signature, host and session
-    objects, so the first record's three values are checked once, and a
-    record is formatted only when its fields *are* those objects and its
-    eoi and ess are exact ints (``True`` and ``1.0`` equal 1 but render
-    otherwise). The run is clean when no record was left out.
-    """
-    first, last = run[0], run[-1]
-    signature, hostname, session_id = first.signature, first.hostname, first.session_id
-    if (last.signature is not signature or last.hostname is not hostname
-            or last.session_id is not session_id):
-        return None
     try:
-        for value in (signature, hostname, session_id):
-            _check_signature(value)
-        head = f"OER;{signature};"
-        tail = f";{hostname};{session_id}"
-        decimal = _DECIMAL
-        lines = [f"{head}{r.tin};{r.tout};{r.trace_id};{decimal[r.eoi]};{decimal[r.ess]}{tail}"
-                 for r in run
-                 if r.signature is signature and r.hostname is hostname
-                 and r.session_id is session_id and type(r.eoi) is int is type(r.ess)]
-    except (RecordFormatError, KeyError):
-        return None
-    return lines if len(lines) == len(run) else None
-
-
-def _text_is_safe(run, text_fields) -> bool:
-    # Each field's values are exactly str, so that a subclass cannot pass as
-    # the plain str it equals; then each distinct value is checked once.
-    for field in text_fields:
-        column = list(map(field, run))
-        if set(map(type, column)) != {str}:
-            return False
-        try:
-            for value in set(column):
-                _check_signature(value)
-        except RecordFormatError:
-            return False
-    return True
+        return _run_lines((record,), _ANY_DECIMAL)[0]
+    except TypeError as exc:
+        raise RecordFormatError(f"cannot render {record!r}: {exc}") from exc
 
 
 def serialize_batch(records) -> tuple[list[str], int]:
@@ -223,32 +200,22 @@ def serialize_batch(records) -> tuple[list[str], int]:
 
     ``lines`` are ``serialize(r)``, in order, for every record it accepts;
     ``failed`` counts the records it refuses, which spoil nothing else.
-    The batch is taken in runs of one record type. A ``FullRecord`` run
-    whose first and last records share their text objects, as one probe's
-    records do, is checked and formatted in one pass: its three text values
-    are checked once, ``OER;<signature>;`` and ``;<hostname>;<session_id>``
-    are joined once, and eoi and ess come from a table of decimal strings.
-    Any other run, and a run from which that pass leaves out a record, has
-    each text field checked to hold only exact ``str`` values, each
-    distinct value checked once, and is formatted with one call; a run
-    holding a refused value goes through ``serialize`` record by record.
+    The batch is taken in runs of one record type. A run whose records
+    share their text objects, as one probe's records do, is formatted in
+    one pass with eoi and ess from ``_DECIMAL``; any other run, and one
+    holding a refused value or an eoi or ess outside that table, goes
+    through ``serialize`` record by record.
     """
     lines = []
     failed = 0
-    for kind, group in groupby(records, type):
+    for _, group in groupby(records, type):
         run = list(group)
-        layout = _LAYOUTS.get(kind)
-        if layout is None:
-            failed += len(run)
-            continue
-        if kind is FullRecord:
-            clean = _one_probe_lines(run)
-            if clean is not None:
-                lines += clean
-                continue
-        text_fields, format_run = layout
-        if _text_is_safe(run, text_fields):
-            lines += format_run(run)
+        try:
+            clean = _run_lines(run, _DECIMAL)
+        except (RecordFormatError, KeyError, TypeError):
+            clean = None
+        if clean is not None:
+            lines += clean
             continue
         for record in run:
             try:

@@ -1,7 +1,6 @@
 """Per-thread trace bookkeeping: trace id, execution order index, stack size.
 
-Each thread owns one context; only the trace-id allocator is shared.
-A trace id of -1 means no trace is active on this thread. An entry at
+Each thread owns one context; only the trace-id allocator is shared. An entry at
 stack size 0 starts a trace (the one :meth:`TraceRegistry.begin_trace`
 started, if any), and the trace ends when the stack size returns to 0.
 
@@ -18,9 +17,7 @@ import itertools
 import threading
 import time
 
-__all__ = ["NO_TRACE", "TraceRegistry", "monotonic_ns", "reset_trace_id_allocator"]
-
-NO_TRACE = -1
+__all__ = ["TraceRegistry", "monotonic_ns", "reset_trace_id_allocator"]
 
 monotonic_ns = time.perf_counter_ns
 
@@ -44,7 +41,7 @@ class _State:
     __slots__ = ("trace_id", "next_eoi", "ess", "begun")
 
     def __init__(self):
-        self.trace_id = NO_TRACE
+        self.trace_id = -1
         self.next_eoi = 0
         self.ess = 0
         self.begun = False
@@ -66,11 +63,6 @@ class TraceRegistry:
 
     def __init__(self):
         self._ctx = _Context()
-
-    def recall_trace_id(self) -> int:
-        """Current thread's trace id, or -1 when no trace is active."""
-        state = self._ctx.state
-        return state.trace_id if state.ess or state.begun else NO_TRACE
 
     def begin_trace(self) -> int:
         """Start a new trace on this thread and return its id."""

@@ -227,10 +227,12 @@ def test_non_str_text_field_and_non_record_are_failed_not_fatal(tmp_path):
     pipeline.pause_writer()
     time.sleep(0.05)  # the writer reaches the gate: one batch
     good = [DurationRecord("ok", 1), DurationRecord("ok2", 1), DurationRecord("ok3", 1)]
-    for record in [good[0], DurationRecord(None, 1), good[1], object(), good[2]]:
+    unhashable_eoi = FullRecord("ok()", 1, 2, 3, 0, 0, "h", "s")
+    unhashable_eoi.eoi = [1]  # set after construction
+    for record in [good[0], DurationRecord(None, 1), good[1], object(), unhashable_eoi, good[2]]:
         pipeline.new_monitoring_record(record)
     report = pipeline.shutdown()  # the writer survived: no RuntimeError
-    assert (report.enqueued, report.written, report.failed) == (5, 3, 2)
+    assert (report.enqueued, report.written, report.failed) == (6, 3, 3)
     lines = (tmp_path / "m.log").read_text().splitlines()
     assert [deserialize(line) for line in lines] == good
 

@@ -121,7 +121,7 @@ def test_direct_duration_touches_no_trace_state():
     registry = TraceRegistry()
     tin = probe.enter()
     probe.exit("m()", tin)
-    assert registry.recall_trace_id() == -1
+    assert registry.enter_method()[1:] == (0, 0)  # no trace is open
 
 
 NOW = 10**12

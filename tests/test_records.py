@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +151,23 @@ def test_round_trip(record):
     assert deserialize(line) == record
 
 
+_TAGS = {FullRecord: "OER", DurationRecord: "DUR", AggregatedRecord: "AGG"}
+
+
+@given(any_record)
+@settings(max_examples=300)
+def test_serialize_is_the_tag_and_the_fields_in_dataclass_order(record):
+    # An oracle that shares no code with the formatters.
+    assert serialize(record) == ";".join([_TAGS[type(record)], *map(str, astuple(record))])
+
+
+@pytest.mark.parametrize("eoi", [1.0, True], ids=repr)
+def test_eoi_equal_to_an_int_round_trips(eoi):
+    record = FullRecord("a()", 1, 2, 3, eoi, 0, "h", "s")
+    assert serialize(record) == "OER;a();1;2;3;1;0;h;s"
+    assert deserialize(serialize(record)) == record
+
+
 @given(st.lists(any_record, min_size=2, max_size=20, unique=True))
 def test_serialization_injective(records):
     lines = [serialize(r) for r in records]
@@ -297,11 +314,21 @@ def _set_after_construction(record, **values):
                          ids=repr)
 def test_serialize_batch_of_one_probe_renders_eoi_and_ess_as_serialize_does(field, value):
     # 1023 is the table's last entry and 1024 one past it; True and 1.0
-    # equal table keys but render otherwise; -1 only gets in after construction.
+    # equal table keys; -1 only gets in after construction.
     batch = _full_run(2000)
     batch[1000] = _set_after_construction(batch[1000], **{field: value})
     assert serialize_batch(batch) == _per_record(batch)
     assert len(serialize_batch(batch)[0]) == 2000
+
+
+@pytest.mark.parametrize("field", ["eoi", "ess"])
+def test_unhashable_eoi_or_ess_is_refused(field):
+    clean = serialize_batch(_full_run(10))[0]
+    batch = _full_run(10)
+    _set_after_construction(batch[5], **{field: [1]})
+    with pytest.raises(RecordFormatError):
+        serialize(batch[5])
+    assert serialize_batch(batch) == (clean[:5] + clean[6:], 1)
 
 
 @pytest.mark.parametrize("n", [2000, 2001])
@@ -322,6 +349,7 @@ _ONE_PROBE_SPOILERS = [
     lambda r: _set_after_construction(r, eoi=-1),
     lambda r: _set_after_construction(r, ess=True),
     lambda r: _set_after_construction(r, eoi=2.0),
+    lambda r: _set_after_construction(r, ess=[1]),
     lambda r: DurationRecord(r.signature, 5),
 ]
 

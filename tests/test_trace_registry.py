@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from minimon.trace_registry import NO_TRACE, TraceRegistry, reset_trace_id_allocator
+from minimon.trace_registry import TraceRegistry, reset_trace_id_allocator
 
 
 @pytest.fixture(autouse=True)
@@ -14,7 +14,7 @@ def fresh_allocator():
 
 
 def test_fresh_thread_has_no_trace():
-    assert TraceRegistry().recall_trace_id() == NO_TRACE
+    assert TraceRegistry().enter_method() == (0, 0, 0)
 
 
 def test_begin_trace_returns_increasing_ids():
@@ -27,13 +27,12 @@ def test_begin_trace_returns_increasing_ids():
     assert ids == [0, 1, 2]
 
 
-def test_recall_after_begin_and_end():
+def test_next_entry_after_begin_and_end():
     reg = TraceRegistry()
     tid = reg.begin_trace()
-    assert reg.recall_trace_id() == tid
-    reg.enter_method()
+    assert reg.enter_method() == (tid, 0, 0)
     reg.exit_method()
-    assert reg.recall_trace_id() == NO_TRACE
+    assert reg.enter_method() == (tid + 1, 0, 0)
 
 
 def test_begin_with_active_trace_is_error():
@@ -50,19 +49,20 @@ def test_linear_chain_of_ten():
     assert entries == [(tid, i, i) for i in range(10)]
     for expected_ess in range(9, -1, -1):
         reg.exit_method()
-    assert reg.recall_trace_id() == NO_TRACE
+    assert reg.enter_method() == (tid + 1, 0, 0)
 
 
 def test_nested_exit_leaves_depth():
     reg = TraceRegistry()
-    reg.begin_trace()
+    tid = reg.begin_trace()
     reg.enter_method()
     reg.enter_method()
     reg.exit_method()
     # Inner frame exited; trace still active at depth 1.
-    assert reg.recall_trace_id() != NO_TRACE
+    assert reg.enter_method() == (tid, 2, 1)
     reg.exit_method()
-    assert reg.recall_trace_id() == NO_TRACE
+    reg.exit_method()
+    assert reg.enter_method() == (tid + 1, 0, 0)
 
 
 def test_top_level_siblings_start_fresh_traces():
@@ -84,14 +84,13 @@ def test_enter_without_active_trace_starts_one():
     reg.enter_method()
     reg.exit_method()  # trace 0 ends, so the next entry starts trace 1
     assert reg.enter_method() == (1, 0, 0)
-    assert reg.recall_trace_id() == 1
     assert [reg.enter_method() for _ in range(3)] == [(1, 1, 1), (1, 2, 2), (1, 3, 3)]
     with pytest.raises(RuntimeError):
         reg.begin_trace()
-    for _ in range(4):
-        assert reg.recall_trace_id() == 1
+    for depth in range(4, 0, -1):
+        assert reg.enter_method() == (1, 8 - depth, depth)
         reg.exit_method()
-    assert reg.recall_trace_id() == NO_TRACE
+        reg.exit_method()
     assert reg.enter_method() == (2, 0, 0)
 
 
@@ -129,7 +128,7 @@ def test_ess_matches_explicit_stack_model():
     for _ in range(50):
         stack = []
         eoi_seen = []
-        reg.begin_trace()
+        tid = reg.begin_trace()
         steps = 0
         while steps < 200:
             if stack and (rng.random() < 0.5 or steps == 199):
@@ -148,7 +147,8 @@ def test_ess_matches_explicit_stack_model():
             reg.exit_method()
         # eoi values are exactly 0..n-1 in call order within the trace
         assert eoi_seen == list(range(len(eoi_seen)))
-        assert reg.recall_trace_id() == NO_TRACE
+        assert reg.enter_method() == (tid + 1, 0, 0)
+        reg.exit_method()
 
 
 def test_shared_registry_keeps_each_threads_state_under_forced_switching():
@@ -165,16 +165,21 @@ def test_shared_registry_keeps_each_threads_state_under_forced_switching():
             while time.monotonic() < deadline:
                 mine.append(reg.begin_trace())
                 depth = 0  # the stack model: eoi counts entries, ess nesting
-                for eoi in range(rng.randint(1, 12)):
+                entries = rng.randint(1, 12)
+                for eoi in range(entries):
                     assert reg.enter_method() == (mine[-1], eoi, depth)
                     depth += 1
                     if rng.random() < 0.3 and depth > 1:
                         reg.exit_method()
                         depth -= 1
-                    assert reg.recall_trace_id() == mine[-1]
-                for _ in range(depth):
+                # Still open: the next entry keeps the id.
+                assert reg.enter_method() == (mine[-1], entries, depth)
+                for _ in range(depth + 1):
                     reg.exit_method()
-                assert reg.recall_trace_id() == NO_TRACE
+                # Closed: the next entry starts a new trace.
+                trace_id, eoi, ess = reg.enter_method()
+                assert trace_id > mine[-1] and (eoi, ess) == (0, 0)
+                reg.exit_method()
         except AssertionError as exc:
             errors.append(exc)
         trace_ids.extend(mine)
