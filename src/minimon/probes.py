@@ -8,10 +8,12 @@ monitored method with inline probe statements serves all three.
   is the trace registry's, one call per entry that hands out the whole
   token (the entry timestamp and the trace position, starting a trace at
   the outermost entry), and its exit calls nothing in the registry. The
-  exit allocates its record with ``object.__new__`` and runs
-  ``FullRecord.__init__``, with its checks, as a plain function, so the
-  interpreter pushes that frame inline instead of going through
-  ``type.__call__``; the record is the same as ``FullRecord(...)``'s.
+  exit allocates its record with ``object.__new__`` and stores the eight
+  slots itself, so building a record opens no Python frame. It skips
+  ``FullRecord.__init__``'s checks because its fields hold them by
+  construction: ``tout`` is read from the monotonic clock after ``tin``,
+  and ``eoi`` and ``ess`` come from the registry's counters, which are
+  never negative. The record equals ``FullRecord(...)``'s.
 * ``DirectDurationProbe`` -- minimal DurationRecords, touching no trace
   state.
 * ``AggregatingProbe`` -- sums durations per signature and emits one
@@ -57,12 +59,11 @@ BENCH_SESSION_ID = "s0"
 
 DEFAULT_AGGREGATION_WINDOW = 1000
 
-# ``DirectFullProbe.exit`` builds its record from these two, not through
-# ``FullRecord(...)``: a call on a class runs ``type.__call__``, which runs
-# ``__init__`` in an eval loop of its own, while a call on the plain
-# function is pushed inline in the caller's. ``__init__`` keeps the checks.
+# ``DirectFullProbe.exit`` allocates its record with this, not through
+# ``FullRecord(...)``: a call on the class runs ``type.__call__`` and then
+# ``__init__`` in a frame of its own, while this allocates the bare record,
+# whose slots the exit then stores in its own frame.
 _new_object = object.__new__
-_init_full_record = FullRecord.__init__
 
 
 class ProbeKind(Enum):
@@ -106,12 +107,18 @@ class DirectFullProbe:
     def exit(self, signature: str, token) -> None:
         tout = monotonic_ns()
         tin, state, trace_id, eoi, ess = token
-        # Leave the method before building the record: a refused record
-        # must not leave the thread's trace open.
+        # Leave the method before emitting: a record the emit refuses must
+        # not leave the thread's trace open.
         state.ess = ess
         record = _new_object(FullRecord)
-        _init_full_record(record, signature, tin, tout, trace_id, eoi, ess,
-                          BENCH_HOSTNAME, BENCH_SESSION_ID)
+        record.signature = signature
+        record.tin = tin
+        record.tout = tout
+        record.trace_id = trace_id
+        record.eoi = eoi
+        record.ess = ess
+        record.hostname = BENCH_HOSTNAME
+        record.session_id = BENCH_SESSION_ID
         self._emit(record)
 
 
@@ -147,12 +154,13 @@ class AggregatingProbe:
         self._local = threading.local()
 
     def exit(self, signature: str, tin: int) -> None:
-        duration = monotonic_ns() - tin
         try:
             state = self._local.__dict__[signature]
         except KeyError:
             state = self._local.__dict__[signature] = AggregationState(signature, self.window)
-        state.sum += duration
+        # The clock is read here, in the fold, to spare a local: the
+        # duration also covers the table lookup.
+        state.sum += monotonic_ns() - tin
         state.counter += 1
         if state.counter == state.window:
             self._emit(state.close_window())

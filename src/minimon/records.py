@@ -18,13 +18,15 @@ The records are slotted but not frozen: every probe's hot path builds one
 per call, and a frozen ``__init__`` sets each field through
 ``object.__setattr__``, which costs several times a plain slot store.
 They still compare and hash by value; nothing assigns to a field after
-construction. ``FullRecord``, built once per level of a monitored chain,
-checks its fields in its own ``__init__`` rather than a ``__post_init__``,
-so building one takes one Python frame instead of two. The full probe
-builds its records with ``object.__new__(FullRecord)`` and a plain call of
-``FullRecord.__init__``, which skips ``type.__call__``; every other caller
-uses ``FullRecord(...)``, and both ways run the same checks. The writer
-drops a batch's records once it has formatted them, before it writes.
+construction. The full probe, which builds one ``FullRecord`` per level of
+a monitored chain, allocates it with ``object.__new__(FullRecord)`` and
+stores its eight slots in its own frame, without ``__init__``: its fields
+are valid by construction. ``FullRecord.__init__`` is the constructor for
+every other source (``FullRecord(...)``, ``deserialize`` and
+``dataclasses.replace``), and it checks what the probe guarantees: ``tin``,
+``tout`` and ``trace_id`` are exactly ``int``, ``tout`` is not before
+``tin``, and ``eoi`` and ``ess`` are not negative. The writer drops a
+batch's records once it has formatted them, before it writes.
 """
 
 from __future__ import annotations
@@ -63,7 +65,11 @@ class FullRecord:
 
     def __init__(self, signature: str, tin: int, tout: int, trace_id: int,
                  eoi: int, ess: int, hostname: str, session_id: str):
-        # Cheap integer checks only; the hot path constructs these.
+        # Exactly int: a float or bool would render as a line that
+        # deserialize refuses.
+        if type(tin) is not int or type(tout) is not int or type(trace_id) is not int:
+            raise ValueError(f"tin, tout and trace_id must be ints: {tin!r}, {tout!r}, "
+                             f"{trace_id!r}")
         if tout < tin:
             raise ValueError(f"tout {tout} < tin {tin}")
         if eoi < 0 or ess < 0:

@@ -143,6 +143,25 @@ def test_invariant_checks():
         AggregatedRecord("a()", 0, 0)
 
 
+@pytest.mark.parametrize("values", [
+    {"tin": 1.0},
+    {"tin": True},
+    {"tout": 2.0},
+    {"tout": True},
+    {"trace_id": True},
+    {"trace_id": 3.0},
+], ids=repr)
+def test_full_record_refuses_a_tin_tout_or_trace_id_that_is_not_exactly_int(values):
+    # serialize would write such a value as a line deserialize refuses
+    # ("1.0", "True"); eoi and ess instead render through the decimal table.
+    fields = dict(signature="a()", tin=1, tout=2, trace_id=3, eoi=0, ess=0,
+                  hostname="h", session_id="s")
+    with pytest.raises(ValueError, match="must be ints"):
+        FullRecord(*{**fields, **values}.values())
+    with pytest.raises(ValueError, match="must be ints"):
+        replace(FullRecord(*fields.values()), **values)
+
+
 @given(any_record)
 @settings(max_examples=300)
 def test_round_trip(record):
