@@ -8,7 +8,7 @@ of each configuration over a recursive call-chain workload and reports
 comparative statistics.
 
 Import from the submodules: the package root loads nothing, so a monitored
-application does not pay for numpy and the harness.
+application does not pay for the harness.
 """
 
 __version__ = "0.1.0"

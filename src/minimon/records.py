@@ -21,12 +21,12 @@ They still compare and hash by value; nothing assigns to a field after
 construction. The full probe, which builds one ``FullRecord`` per level of
 a monitored chain, allocates it with ``object.__new__(FullRecord)`` and
 stores its eight slots in its own frame, without ``__init__``: its fields
-are valid by construction. ``FullRecord.__init__`` is the constructor for
-every other source (``FullRecord(...)``, ``deserialize`` and
-``dataclasses.replace``), and it checks what the probe guarantees: ``tin``,
-``tout`` and ``trace_id`` are exactly ``int``, ``tout`` is not before
-``tin``, and ``eoi`` and ``ess`` are not negative. The writer drops a
-batch's records once it has formatted them, before it writes.
+are valid by construction. Every other source (``FullRecord(...)``,
+``deserialize``, ``dataclasses.replace``) runs ``__post_init__``, which
+checks what the probe guarantees: ``tin``, ``tout`` and ``trace_id`` are
+exactly ``int``, ``tout`` is not before ``tin``, and ``eoi`` and ``ess``
+are not negative. The writer drops a batch's records once it has
+formatted them, before it writes.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class RecordFormatError(ValueError):
     """Raised for unserializable records or unparseable record lines."""
 
 
-@dataclass(slots=True, unsafe_hash=True, init=False)
+@dataclass(slots=True, unsafe_hash=True)
 class FullRecord:
     signature: str
     tin: int
@@ -63,25 +63,16 @@ class FullRecord:
     hostname: str
     session_id: str
 
-    def __init__(self, signature: str, tin: int, tout: int, trace_id: int,
-                 eoi: int, ess: int, hostname: str, session_id: str):
+    def __post_init__(self):
         # Exactly int: a float or bool would render as a line that
         # deserialize refuses.
-        if type(tin) is not int or type(tout) is not int or type(trace_id) is not int:
-            raise ValueError(f"tin, tout and trace_id must be ints: {tin!r}, {tout!r}, "
-                             f"{trace_id!r}")
-        if tout < tin:
-            raise ValueError(f"tout {tout} < tin {tin}")
-        if eoi < 0 or ess < 0:
-            raise ValueError(f"negative eoi/ess: {eoi}/{ess}")
-        self.signature = signature
-        self.tin = tin
-        self.tout = tout
-        self.trace_id = trace_id
-        self.eoi = eoi
-        self.ess = ess
-        self.hostname = hostname
-        self.session_id = session_id
+        if not type(self.tin) is type(self.tout) is type(self.trace_id) is int:
+            raise ValueError(f"tin, tout and trace_id must be ints: {self.tin!r}, "
+                             f"{self.tout!r}, {self.trace_id!r}")
+        if self.tout < self.tin:
+            raise ValueError(f"tout {self.tout} < tin {self.tin}")
+        if self.eoi < 0 or self.ess < 0:
+            raise ValueError(f"negative eoi/ess: {self.eoi}/{self.ess}")
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -133,10 +124,13 @@ _DECIMAL = {n: str(n) for n in range(1024)}
 
 
 class _AnyDecimal(dict):
-    """``_DECIMAL``, and ``str(n)`` for every other hashable ``n``."""
+    """``_DECIMAL``, ``str(n)`` for any other int n >= 0, and RecordFormatError
+    for anything else (1.5, 5000.0, -1), which deserialize could not read."""
 
     def __missing__(self, n):
-        return str(n)
+        if type(n) is int and n >= 0:
+            return str(n)
+        raise RecordFormatError(f"eoi/ess is not a non-negative int: {n!r}")
 
 
 _ANY_DECIMAL = _AnyDecimal(_DECIMAL)
@@ -193,7 +187,7 @@ def serialize(record: MonitoringRecord) -> str:
 
     Raises RecordFormatError for anything that is not a monitoring record,
     for a text field that is not a str or holds the delimiter or a control
-    character, and for an eoi or ess that cannot be hashed.
+    character, and for an eoi or ess that does not render as an int >= 0.
     """
     try:
         return _run_lines((record,), _ANY_DECIMAL)[0]

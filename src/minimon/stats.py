@@ -3,9 +3,9 @@
 Samples arrive in nanoseconds and all reported values are microseconds.
 The confidence interval uses the normal approximation (z = 1.96): sample
 counts are in the tens of thousands after warmup, where the Student-t
-correction is negligible. Quartiles use linear interpolation on the
-sorted sample (index h = (n-1)*p). Significance between two
-configurations is 95 % CI non-overlap.
+correction is negligible. Sums are ``math.fsum``; quartiles interpolate
+at h = (n-1)*p from the nearer neighbour, as the golden files round.
+Significance between two configurations is 95 % CI non-overlap.
 """
 
 from __future__ import annotations
@@ -62,16 +62,18 @@ def summarize(samples_ns: Sequence[float]) -> SummaryStats:
 
     Negative samples (possible only at clock resolution) are clamped to zero.
     """
-    import numpy as np  # here, so importing the CLI or this module stays cheap
-
     n = len(samples_ns)
     if n < 2:
         raise ValueError(f"need at least 2 samples for a summary, got {n}")
-    x = np.maximum(np.asarray(samples_ns, dtype=np.float64), 0.0) / 1000.0
-    mean = float(x.mean())
-    stddev = float(x.std(ddof=1))
+    x = sorted([max(v, 0) / 1000.0 for v in samples_ns])
+    mean = math.fsum(x) / n
+    stddev = math.sqrt(math.fsum((v - mean) ** 2 for v in x) / (n - 1))
     ci95_half = Z_95 * stddev / math.sqrt(n)
-    q1, median, q3 = (float(v) for v in np.quantile(x, [0.25, 0.5, 0.75], method="linear"))
+    quartiles = []
+    for h in ((n - 1) * 0.25, (n - 1) * 0.5, (n - 1) * 0.75):
+        a, b, t = x[int(h)], x[int(h) + 1], h - int(h)
+        quartiles.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+    q1, median, q3 = quartiles
     return SummaryStats(n=n, mean=mean, stddev=stddev, ci95_half=ci95_half,
                         q1=q1, median=median, q3=q3)
 

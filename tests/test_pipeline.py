@@ -166,6 +166,40 @@ def test_a_written_batchs_records_are_dead_during_the_write(tmp_path, monkeypatc
     assert [len(live) for live in live_at_write] == [0] * len(live_at_write)
 
 
+def test_a_written_batchs_lines_and_text_are_dead_during_the_flush(tmp_path, monkeypatch):
+    # The flush releases the GIL; the formatted batch (about 1 MB of lines
+    # for 10 000 records) must not outlive the write it was made for.
+    seen = []
+
+    class LiveLineFile:
+        def write(self, text):
+            self.text = text
+            self.lines = set(text.splitlines())
+
+        def flush(self):
+            lists = [o for o in gc.get_objects()
+                     if type(o) is list and o and type(o[0]) is str and o[0] in self.lines]
+            writer_locals = sys._getframe(1).f_locals.values()
+            seen.append((len(lists), any(value is self.text for value in writer_locals)))
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr("minimon.pipeline.open", lambda *args, **kwargs: LiveLineFile(),
+                        raising=False)
+    pipeline = Pipeline(PipelineConfig(
+        probe=ProbeKind.DIRECT_FULL, queue_capacity=10_000, writer=WriterKind.FILE,
+        output_path=str(tmp_path / "m.log"))).start()
+    pipeline.pause_writer()
+    probe = DirectFullProbe(pipeline.new_monitoring_record)
+    for _ in range(1000):
+        probe.exit("a()", probe.enter())
+    pipeline.resume_writer()
+    assert pipeline.shutdown().written == 1000
+    assert seen
+    assert seen == [(0, False)] * len(seen)
+
+
 def test_unwritable_output_path_fails_at_start(tmp_path):
     pipeline = Pipeline(PipelineConfig(
         writer=WriterKind.FILE, output_path=str(tmp_path / "no" / "dir" / "x.log")))

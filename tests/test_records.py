@@ -187,6 +187,23 @@ def test_eoi_equal_to_an_int_round_trips(eoi):
     assert deserialize(serialize(record)) == record
 
 
+eoi_or_ess = st.one_of(st.integers(), st.floats(), st.booleans())
+
+
+@given(full_records(), eoi_or_ess, eoi_or_ess)
+@settings(max_examples=300)
+def test_deserialize_reads_every_line_serialize_writes(record, eoi, ess):
+    try:
+        record = replace(record, eoi=eoi, ess=ess)
+    except ValueError:  # refused by the constructor: set them after it
+        _set_after_construction(record, eoi=eoi, ess=ess)
+    try:
+        line = serialize(record)
+    except RecordFormatError:
+        return
+    assert deserialize(line) == record
+
+
 @given(st.lists(any_record, min_size=2, max_size=20, unique=True))
 def test_serialization_injective(records):
     lines = [serialize(r) for r in records]
@@ -328,16 +345,26 @@ def _set_after_construction(record, **values):
     return record
 
 
+_RENDERED_EOI_ESS = [1023, 1024, 10**6, True, False, 1.0]
+_REFUSED_EOI_ESS = [-1, 1.5, 5000.0]
+
+
 @pytest.mark.parametrize("field", ["eoi", "ess"])
-@pytest.mark.parametrize("value", [1023, 1024, 10**6, -1, True, False, 1.0, 1.5],
-                         ids=repr)
-def test_serialize_batch_of_one_probe_renders_eoi_and_ess_as_serialize_does(field, value):
+@pytest.mark.parametrize("value, written",
+                         [(v, 2000) for v in _RENDERED_EOI_ESS]
+                         + [(v, 1999) for v in _REFUSED_EOI_ESS],
+                         ids=[repr(v) for v in _RENDERED_EOI_ESS + _REFUSED_EOI_ESS])
+def test_serialize_batch_of_one_probe_renders_eoi_and_ess_as_serialize_does(field, value,
+                                                                             written):
     # 1023 is the table's last entry and 1024 one past it; True and 1.0
-    # equal table keys; -1 only gets in after construction.
+    # equal table keys. -1, 1.5 and 5000.0 would render as lines that
+    # deserialize refuses, so they are refused; -1 only gets in after
+    # construction.
     batch = _full_run(2000)
     batch[1000] = _set_after_construction(batch[1000], **{field: value})
-    assert serialize_batch(batch) == _per_record(batch)
-    assert len(serialize_batch(batch)[0]) == 2000
+    lines, failed = serialize_batch(batch)
+    assert (lines, failed) == _per_record(batch)
+    assert (len(lines), failed) == (written, 2000 - written)
 
 
 @pytest.mark.parametrize("field", ["eoi", "ess"])

@@ -1,8 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import minimon
 from minimon.stats import (
     Direction,
     SummaryStats,
@@ -157,3 +162,28 @@ def test_summary_csv_format():
     assert fields[0] == "cfg"
     assert int(fields[1]) == 3
     assert close(float(fields[2]), s.mean)
+
+
+_REPORT = """
+from minimon.chart import render_depth_chart
+from minimon.stats import render_table, summarize, summary_csv
+
+def report():
+    results = {("cfg", depth): summarize([1000 * depth + 37 * i - 50 for i in range(101)])
+               for depth in (1, 2, 4)}
+    columns = [(f"depth {depth}", stats) for (_, depth), stats in results.items()]
+    return "\\n".join([render_table(columns), summary_csv(columns),
+                       render_depth_chart(results)])
+"""
+
+
+def test_the_report_runs_with_numpy_blocked():
+    env = dict(os.environ, PYTHONPATH=str(Path(minimon.__file__).parents[1]))
+    blocked = 'import sys; sys.modules["numpy"] = None  # importing numpy raises ImportError\n'
+    proc = subprocess.run([sys.executable, "-c", blocked + _REPORT + "print(report())"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    namespace = {}
+    exec(_REPORT, namespace)
+    assert proc.stdout == namespace["report"]() + "\n"
+    assert "\nMedian   2.8000   3.8000   5.8000\n" in proc.stdout
