@@ -197,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SuiteConfigError, runner.BenchmarkError, ValueError, OSError) as exc:
+    except (runner.BenchmarkError, ValueError, OSError) as exc:
         print(f"minimon: error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,9 +12,9 @@ the text as soon as each is used. It counts the lines as written only
 once the flush returned. On an empty queue it sleeps about a
 millisecond. ``shutdown`` closes the queue, which then counts every put
 as dropped; the writer drains what was enqueued, and its empty drain
-seals the blocking queue, so a lock-free put that passed the open check
-before the close and lands later is dropped too. The writer leaves, and
-the file is closed.
+seals the queue, so a lock-free put that passed the open check before
+the close and lands later is dropped too. That drain returns None, the
+writer leaves, and the file is closed.
 """
 
 from __future__ import annotations
@@ -107,13 +107,10 @@ class Pipeline:
                 # Event.wait locks even when set; reading the flag does not.
                 if not self._gate.is_set():
                     self._gate.wait()
-                # Read before the drain: an empty drain of a closed queue seals
-                # it, and a put that lands after the seal is counted as dropped.
-                closed = queue.closed
                 batch = queue.drain()
+                if batch is None:  # closed and drained: the stream has ended
+                    break
                 if not batch:
-                    if closed:
-                        break
                     time.sleep(IDLE_SLEEP_S)
                     continue
                 if file is None:

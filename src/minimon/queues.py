@@ -1,28 +1,30 @@
 """Bounded FIFO record queues: blocking linked queue vs. synchronized ring.
 
 Both are safe for concurrent producers and one consumer, and the hand-off
-is per batch: a put wakes nobody, and the consumer calls ``drain`` to take
-every record present at once. A condition on the queue's one lock serves
-only a blocked put and the close. The queue owns the close: after
-``close`` a put is counted in ``dropped``, so each put is either enqueued
-or dropped.
+is per batch: a put wakes nobody, and the consumer calls the one shared
+``drain`` to take every record present at once. A drain pops exactly the
+length it read, so an append that lands meanwhile stays for the next
+drain. A condition on the queue's one lock serves only a blocked put and
+the close. The queue owns the close: after ``close`` a put is counted in
+``dropped``, so each put is either enqueued or dropped. The empty drain
+after the close seals the queue and returns None, as does every later
+drain: the stream has ended. An open queue's empty drain returns ``[]``.
 
 ``BlockingLinkedQueue`` blocks the producer when full. A put into an open
 queue below capacity is one ``deque.append`` under the GIL and takes no
 lock; only a full or closed put takes it, to wait or to count the drop.
 Concurrent producers can pass the length check together, so the queue
 may overshoot ``capacity`` by at most producers - 1; it never evicts.
-``enqueued`` is derived as ``dequeued + len``. ``drain`` pops exactly the
-length it read, so an append that lands meanwhile stays for the next
-drain, and an empty drain after the close seals the queue: ``enqueued``
-freezes at ``dequeued``, and a record whose append passed the open check
-before the close but lands after the seal counts as dropped. A put is
-thus written or dropped, never lost.
+``enqueued`` is derived as ``dequeued + len`` and freezes at ``dequeued``
+on the seal: a record whose append passed the open check before the close
+but lands after the seal counts as dropped, so a put is written or
+dropped, never lost.
 
 ``SyncRingQueue`` is a ``deque(maxlen=capacity)`` ring that never blocks
 the producer: when full, the newest element overwrites the oldest. Its
-put appends and counts ``enqueued`` under the lock, and ``stats`` derives
-``overwritten`` as ``enqueued - dequeued - len``.
+put appends and counts ``enqueued`` under the lock, so nothing lands
+after the seal, and ``stats`` derives ``overwritten`` as
+``enqueued - dequeued - len``.
 """
 
 from __future__ import annotations
@@ -55,11 +57,9 @@ class QueueStats:
 class _BoundedQueue:
     """Deque of records, one lock, the close and the consumer's counters.
 
-    Subclasses supply ``put``, ``drain`` and ``stats``. Every consumer step
-    and the close run under the lock; ``_not_full`` is a condition on it.
+    Subclasses supply ``put`` and ``stats``. Every consumer step and the
+    close run under the lock; ``_not_full`` is a condition on it.
     """
-
-    _sealed = False  # only the blocking queue seals
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY, maxlen: int | None = None):
         if capacity < 1:
@@ -69,6 +69,7 @@ class _BoundedQueue:
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
         self.closed = False
+        self._sealed = False
         self._dequeued = 0
         self._dropped = 0
 
@@ -90,6 +91,28 @@ class _BoundedQueue:
             if was_full:
                 self._not_full.notify_all()
             return record
+
+    def drain(self) -> list | None:
+        """Remove and return every record present, oldest first.
+
+        The empty drain of a closed queue seals it and returns None, and so
+        does every later drain: the stream has ended.
+        """
+        with self._lock:
+            if self._sealed:
+                return None
+            # Read before the length: a record put before the close is counted in it.
+            closed = self.closed
+            n = len(self._q)
+            if not n:
+                self._sealed = closed
+                return None if closed else []
+            # Pop exactly n: an append landing meanwhile stays for the next drain.
+            batch = list(starmap(self._q.popleft, repeat((), n)))
+            self._dequeued += n
+            if n >= self.capacity:  # it was full: wake blocked producers
+                self._not_full.notify_all()
+            return batch
 
     def __len__(self) -> int:
         return len(self._q)
@@ -115,36 +138,13 @@ class BlockingLinkedQueue(_BoundedQueue):
             else:
                 q.append(record)
 
-    def drain(self) -> list:
-        """Remove and return every record present, oldest first.
-
-        An empty drain of a closed queue seals it; a sealed queue drains
-        nothing more.
-        """
-        with self._lock:
-            if self._sealed:
-                return []
-            # Read before the length: a record put before the close is counted in it.
-            closed = self.closed
-            n = len(self._q)
-            if not n:
-                self._sealed = closed
-                return []
-            # Pop exactly n: an append landing meanwhile stays for the next drain.
-            batch = list(starmap(self._q.popleft, repeat((), n)))
-            self._dequeued += n
-            if n >= self.capacity:  # it was full: wake blocked producers
-                self._not_full.notify_all()
-            return batch
-
     def stats(self) -> QueueStats:
         with self._lock:
             in_queue = len(self._q)
-            if self._sealed:  # enqueued froze at the seal; what landed since is dropped
-                return QueueStats(self._dequeued, self._dequeued, 0, self.capacity,
-                                  self._dropped + in_queue)
-            return QueueStats(self._dequeued + in_queue, self._dequeued, 0, self.capacity,
-                              self._dropped)
+            # enqueued froze at the seal; what landed since is dropped
+            late = in_queue if self._sealed else 0
+            return QueueStats(self._dequeued + in_queue - late, self._dequeued, 0,
+                              self.capacity, self._dropped + late)
 
 
 class SyncRingQueue(_BoundedQueue):
@@ -161,14 +161,6 @@ class SyncRingQueue(_BoundedQueue):
                 return
             self._q.append(record)  # a full ring evicts its oldest
             self._enqueued += 1
-
-    def drain(self) -> list:
-        """Remove and return every record present, oldest first."""
-        with self._lock:  # every put takes this lock: nothing lands in between
-            batch = list(self._q)
-            self._q.clear()
-            self._dequeued += len(batch)
-            return batch
 
     def stats(self) -> QueueStats:
         with self._lock:

@@ -36,8 +36,8 @@ class HookedDeque(collections.deque):
     """A deque that runs a hook before each append, or before each take.
 
     ``before_append`` models a producer preempted between a lock-free put's
-    checks and its append; ``before_take`` runs inside the consumer's drain
-    (a pop, or the clear of a copy-then-clear drain). A hook of None is off.
+    checks and its append; ``before_take`` runs before each pop of the
+    consumer's take or drain. A hook of None is off.
     """
 
     before_append = None
@@ -52,11 +52,6 @@ class HookedDeque(collections.deque):
         if self.before_take is not None:
             self.before_take()
         return super().popleft()
-
-    def clear(self):
-        if self.before_take is not None:
-            self.before_take()
-        super().clear()
 
 
 @pytest.fixture

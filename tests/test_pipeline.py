@@ -96,6 +96,14 @@ def test_shutdown_bounded_time_on_empty_queue(tmp_path):
     assert time.monotonic() - start < 2.0
 
 
+@pytest.mark.parametrize("kind", list(QueueKind))
+def test_writer_leaves_a_sealed_queue_after_shutdown(tmp_path, kind):
+    pipeline = null_pipeline(tmp_path, queue=kind).start()
+    pipeline.new_monitoring_record(DurationRecord("a()", 1))
+    assert pipeline.shutdown().written == 1
+    assert pipeline.queue.drain() is None
+
+
 def test_ring_overwrite_with_paused_writer(tmp_path):
     capacity = 8
     pipeline = null_pipeline(tmp_path, queue=QueueKind.SYNC_RING,

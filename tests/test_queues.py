@@ -118,7 +118,7 @@ def test_drain_returns_records_put_before_the_close_then_nothing():
         queue.close()
         queue.put("z")  # after the close: dropped, never drained
         assert queue.drain() == ["x", "y"]
-        assert queue.drain() == []
+        assert queue.drain() is None
         stats = queue.stats()
         assert (stats.enqueued, stats.dequeued, stats.dropped) == (2, 2, 1)
 
@@ -329,14 +329,18 @@ def test_drain_larger_than_capacity_wakes_a_blocked_producer(hooked_deque):
         blocked.join(timeout=2)
 
 
-def test_empty_drain_of_closed_queue_seals_it(hooked_deque):
-    queue = BlockingLinkedQueue(4)
+@pytest.mark.parametrize("kind", list(QueueKind))
+def test_empty_drain_of_closed_queue_seals_it(kind, hooked_deque):
+    queue = make_queue(kind, 4)
     queue.put(1)
     queue.close()
     assert queue.drain() == [1]
-    assert queue.drain() == []  # sealed: enqueued is frozen at dequeued
-    hooked_deque(queue).append(2)  # an append that passed the open check before the close
-    assert queue.drain() == []
+    assert queue.drain() is None  # sealed: the stream has ended
+    if kind is QueueKind.BLOCKING_LINKED:
+        hooked_deque(queue).append(2)  # an append that passed the open check before the close
+    else:
+        queue.put(2)  # the ring's put reads the close under the lock
+    assert queue.drain() is None
     assert queue.take() is None
     stats = queue.stats()
-    assert (stats.enqueued, stats.dequeued, stats.dropped) == (1, 1, 1)
+    assert (stats.enqueued, stats.dequeued, stats.overwritten, stats.dropped) == (1, 1, 0, 1)
