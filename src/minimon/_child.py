@@ -25,6 +25,7 @@ from .runner import (
     config_from_dict,
     estimate_clock_resolution_ns,
 )
+from .trace_registry import monotonic_ns
 from .workload import CallChain
 
 
@@ -47,7 +48,7 @@ def run_child(child_config: dict) -> None:
     depth = config.workload.depth
     busy_ns = config.workload.busy_ns
     call = chain.call
-    clock = time.perf_counter_ns
+    clock = monotonic_ns
 
     samples = [0] * n
     checksum = 0

@@ -18,7 +18,9 @@ monitored method with inline probe statements serves all three.
   state.
 * ``AggregatingProbe`` -- sums durations per signature and emits one
   AggregatedRecord per window of W invocations; its ``exit`` holds the
-  one copy of the fold.
+  one copy of the fold. An open window is the AggregatedRecord it will
+  emit, allocated like the full probe's record; when emitted it holds W
+  calls, or at least one at ``flush``, and a sum of clock readings.
 * ``intercept`` -- a generic interception layer (per-call context
   allocation, dynamic dispatch, extra call indirection) that adapts a
   ``DirectFullProbe`` and so emits the same FullRecords; models the cost
@@ -41,7 +43,6 @@ from .trace_registry import TraceRegistry, monotonic_ns
 
 __all__ = [
     "ProbeKind",
-    "AggregationState",
     "CallContext",
     "DirectFullProbe",
     "DirectDurationProbe",
@@ -62,8 +63,17 @@ DEFAULT_AGGREGATION_WINDOW = 1000
 # ``DirectFullProbe.exit`` allocates its record with this, not through
 # ``FullRecord(...)``: a call on the class runs ``type.__call__`` and then
 # ``__init__`` in a frame of its own, while this allocates the bare record,
-# whose slots the exit then stores in its own frame.
+# whose slots the exit then stores in its own frame; ``_open_window`` too.
 _new_object = object.__new__
+
+
+def _open_window(signature: str) -> AggregatedRecord:
+    """An empty window: the AggregatedRecord the fold counts calls into."""
+    window = _new_object(AggregatedRecord)
+    window.signature = signature
+    window.count = 0
+    window.sum_duration = 0
+    return window
 
 
 class ProbeKind(Enum):
@@ -72,27 +82,6 @@ class ProbeKind(Enum):
     DIRECT_FULL = "direct-full"
     DIRECT_DURATION = "direct-duration"
     DIRECT_AGGREGATING = "direct-aggregating"
-
-
-class AggregationState:
-    """Windowed sum/count accumulator for one signature."""
-
-    __slots__ = ("signature", "window", "counter", "sum")
-
-    def __init__(self, signature: str, window: int = DEFAULT_AGGREGATION_WINDOW):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.signature = signature
-        self.window = window
-        self.counter = 0
-        self.sum = 0
-
-    def close_window(self) -> AggregatedRecord:
-        """Record of the window so far; starts a new, empty window."""
-        record = AggregatedRecord(self.signature, self.counter, self.sum)
-        self.counter = 0
-        self.sum = 0
-        return record
 
 
 class DirectFullProbe:
@@ -150,29 +139,31 @@ class AggregatingProbe:
         self._emit = emit
         self.window = window
         # The local's ``__dict__`` is the calling thread's own dict: one
-        # lookup gives the signature -> AggregationState table.
+        # lookup gives the signature -> open window table. A full window
+        # leaves it before it is emitted, and nothing touches it after.
         self._local = threading.local()
 
     def exit(self, signature: str, tin: int) -> None:
         try:
-            state = self._local.__dict__[signature]
+            window = self._local.__dict__[signature]
         except KeyError:
-            state = self._local.__dict__[signature] = AggregationState(signature, self.window)
+            window = self._local.__dict__[signature] = _open_window(signature)
         # The clock is read here, in the fold, to spare a local: the
         # duration also covers the table lookup.
-        state.sum += monotonic_ns() - tin
-        state.counter += 1
-        if state.counter == state.window:
-            self._emit(state.close_window())
+        window.sum_duration += monotonic_ns() - tin
+        window.count += 1
+        if window.count == self.window:
+            del self._local.__dict__[signature]
+            self._emit(window)
 
     def flush(self) -> int:
         """Emit partial windows of the calling thread; returns emit count."""
-        emitted = 0
-        for state in self._local.__dict__.values():
-            if state.counter > 0:
-                self._emit(state.close_window())
-                emitted += 1
-        return emitted
+        table = self._local.__dict__
+        windows = list(table.values())
+        table.clear()
+        for window in windows:
+            self._emit(window)
+        return len(windows)
 
 
 class CallContext:
@@ -197,17 +188,7 @@ class CallContext:
         return _invoke(self._fn, self._args, self._kwargs)
 
 
-class Interceptor:
-    """Dynamically dispatched before/after interface for intercepted calls."""
-
-    def before(self, context: CallContext):
-        raise NotImplementedError
-
-    def after(self, context: CallContext, token) -> None:
-        raise NotImplementedError
-
-
-class FullRecordInterceptor(Interceptor):
+class FullRecordInterceptor:
     """Interceptor whose after-handler emits the same FullRecord a
     DirectFullProbe would."""
 
@@ -230,13 +211,13 @@ def intercept(wrapped: Callable, signature: str, emit: Callable) -> Callable:
     """Wrap ``wrapped`` in a monitoring interceptor.
 
     Each invocation allocates a fresh :class:`CallContext` (boxing the
-    arguments), dispatches through the :class:`Interceptor` interface
-    before and after the call, and reaches ``wrapped`` through the
+    arguments), calls the interceptor's bound ``before`` and ``after``
+    methods around the call, and reaches ``wrapped`` through the
     context's ``proceed`` plus one further indirect call. The wrapped
     callable's behavior is unchanged; an exception inside it still
     triggers the after-handler (record emitted at unwind time).
     """
-    interceptor: Interceptor = FullRecordInterceptor(emit)
+    interceptor = FullRecordInterceptor(emit)
 
     def proxy(*args, **kwargs):
         context = CallContext(signature, wrapped, args, kwargs)

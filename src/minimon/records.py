@@ -17,16 +17,18 @@ one type that share their text objects, as one probe's records do.
 The records are slotted but not frozen: every probe's hot path builds one
 per call, and a frozen ``__init__`` sets each field through
 ``object.__setattr__``, which costs several times a plain slot store.
-They still compare and hash by value; nothing assigns to a field after
-construction. The full probe, which builds one ``FullRecord`` per level of
-a monitored chain, allocates it with ``object.__new__(FullRecord)`` and
+They still compare and hash by value; no record changes once it is
+emitted. The full probe, which builds one ``FullRecord`` per level of a
+monitored chain, allocates it with ``object.__new__(FullRecord)`` and
 stores its eight slots in its own frame, without ``__init__``: its fields
-are valid by construction. Every other source (``FullRecord(...)``,
-``deserialize``, ``dataclasses.replace``) runs ``__post_init__``, which
-checks what the probe guarantees: ``tin``, ``tout`` and ``trace_id`` are
-exactly ``int``, ``tout`` is not before ``tin``, and ``eoi`` and ``ess``
-are not negative. The writer drops a batch's records once it has
-formatted them, before it writes.
+are valid by construction. The aggregating probe allocates its open
+windows, the ``AggregatedRecord``s it emits, the same way. Every other
+source (``FullRecord(...)``, ``deserialize``, ``dataclasses.replace``)
+runs ``__post_init__``, which checks what the probes guarantee: for a
+``FullRecord``, ``tin``, ``tout`` and ``trace_id`` are exactly ``int``,
+``tout`` is not before ``tin``, and ``eoi`` and ``ess`` are not
+negative. The writer drops a batch's records once it has formatted them,
+before it writes.
 """
 
 from __future__ import annotations
@@ -235,7 +237,7 @@ _PARSERS = {
 def deserialize(line: str) -> MonitoringRecord:
     """Parse one serialized line back into a record.
 
-    Inverse of :func:`serialize`: ``deserialize(serialize(r)) == r``.
+    Inverse of :func:`serialize`, which must write the record back as ``line``.
     """
     tag, *values = line.split(";")
     layout = _PARSERS.get(tag)
@@ -245,6 +247,9 @@ def deserialize(line: str) -> MonitoringRecord:
     if len(values) != len(parsers):
         raise RecordFormatError(f"{tag} needs {len(parsers) + 1} fields: {line!r}")
     try:
-        return kind(*[parse(value) for parse, value in zip(parsers, values)])
+        record = kind(*[parse(value) for parse, value in zip(parsers, values)])
+        if serialize(record) == line:
+            return record
     except ValueError as exc:
         raise RecordFormatError(f"bad field in line {line!r}: {exc}") from exc
+    raise RecordFormatError(f"not the line serialize writes for {record!r}: {line!r}")

@@ -35,7 +35,6 @@ import json
 import math
 import subprocess
 import sys
-import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -43,6 +42,7 @@ from types import NoneType, UnionType
 from typing import Sequence, get_args, get_origin, get_type_hints
 
 from .pipeline import PipelineConfig, PipelineReport
+from .trace_registry import monotonic_ns
 from .workload import WorkloadParams
 
 __all__ = [
@@ -224,12 +224,11 @@ def suite_from_dict(data: dict) -> Suite:
 
 
 def estimate_clock_resolution_ns() -> int:
-    """Smallest positive delta observed between consecutive clock reads."""
-    clock = time.perf_counter_ns
+    """Smallest positive delta between consecutive reads of the probes' clock."""
     best = None
     for _ in range(CLOCK_PROBES):
-        a = clock()
-        b = clock()
+        a = monotonic_ns()
+        b = monotonic_ns()
         delta = b - a
         if delta > 0 and (best is None or delta < best):
             best = delta

@@ -17,7 +17,6 @@ times it times the monitored chain and nothing else.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .pipeline import Pipeline
@@ -28,12 +27,11 @@ from .probes import (
     ProbeKind,
     intercept,
 )
+from .trace_registry import monotonic_ns
 
 __all__ = ["WorkloadParams", "CallChain", "DEFAULT_SIGNATURE"]
 
 DEFAULT_SIGNATURE = "bench.CallChain.monitored_method()"
-
-_clock = time.perf_counter_ns
 
 
 @dataclass
@@ -65,7 +63,7 @@ class CallChain:
                  signature: str = DEFAULT_SIGNATURE):
         if probe_kind is not ProbeKind.NONE and pipeline is None:
             raise ValueError(f"probe kind {probe_kind.value} requires a pipeline")
-        clock = _clock
+        clock = monotonic_ns
         busy_ns = params.busy_ns
         emit = pipeline.new_monitoring_record if pipeline is not None else None
         self.flush = _flush_nothing

@@ -7,7 +7,6 @@ import pytest
 from minimon import probes
 from minimon.probes import (
     AggregatingProbe,
-    AggregationState,
     CallContext,
     DirectDurationProbe,
     DirectFullProbe,
@@ -97,6 +96,23 @@ def test_the_probes_record_equals_the_classs_record(monitored):
     assert serialize(record) == serialize(twin)
 
 
+def test_the_aggregating_probes_records_equal_the_classs_records():
+    # An open window is an AggregatedRecord stored without __post_init__.
+    # The one a full window emits and the one flush emits each equal a twin
+    # built through __init__, which hashes and serializes the same.
+    sink = Collector()
+    probe = AggregatingProbe(sink, window=3)
+    for _ in range(5):
+        probe.exit("a()", probe.enter())
+    assert probe.flush() == 1
+    assert [record.count for record in sink.records] == [3, 2]
+    for record in sink.records:
+        assert type(record) is AggregatedRecord
+        twin = AggregatedRecord(*dataclasses.astuple(record))
+        assert record == twin and hash(record) == hash(twin)
+        assert serialize(record) == serialize(twin)
+
+
 def test_direct_duration_emits_one_record_per_call():
     sink = Collector()
     probe = DirectDurationProbe(sink)
@@ -176,6 +192,13 @@ def test_aggregation_conservation(fold, window):
     probe.flush()
     assert sum(r.count for r in sink.records) == len(durations)
     assert sum(r.sum_duration for r in sink.records) == sum(durations)
+
+
+def test_an_emitted_window_is_not_touched_by_later_calls(fold):
+    # The next calls fold into a new window, never into the one emitted.
+    probe, sink, _ = fold([10, 20, 30], window=3)
+    fold([1, 2, 3], window=3, probe=probe)
+    assert sink.records == [AggregatedRecord("a()", 3, 60), AggregatedRecord("a()", 3, 6)]
 
 
 def test_aggregating_probe_flushes_residual():
@@ -284,7 +307,5 @@ def test_interceptor_records_match_direct_full_except_timestamps():
 
 
 def test_aggregation_window_validation():
-    with pytest.raises(ValueError):
-        AggregationState("a()", window=0)
     with pytest.raises(ValueError):
         AggregatingProbe(lambda r: None, window=0)

@@ -75,6 +75,15 @@ def test_deserialize_unknown_tag():
     "AGG;x();one;2",          # non-numeric
     "OER;a();1;2;3;4;5;h",    # wrong field count
     "",                       # no tag
+    # Lines int() and str() accept but serialize never writes:
+    "DUR;a();+5",             # sign
+    "DUR;a(); 5",             # whitespace
+    "DUR;a();5_0",            # digit separator
+    "DUR;a();\u0665",         # non-ASCII digit
+    "DUR;a();-0",             # negative zero
+    "AGG;a();0010;7",         # leading zeros
+    "DUR;a\x01();5",          # control character in the signature
+    "OER;a();1;2;3;0;0;h\x7f;s",  # DEL in the hostname
 ])
 def test_deserialize_malformed(line):
     with pytest.raises(RecordFormatError):
