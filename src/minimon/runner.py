@@ -7,7 +7,12 @@ run sequentially -- parallel runs would contend for cores and corrupt
 the timings. Within a child there are only the benchmark thread and the
 pipeline writer thread.
 
-Per run the child persists:
+This module writes and reads the whole run directory. :func:`run_config`
+writes ``child-config.json`` (config, run index, run directory and
+whether to keep the monitoring log) and spawns ``python -m minimon._child
+<child-config.json>``, whose :func:`main` hands it to :func:`run_child`.
+The child executes the configured workload for the configured iteration
+count, timing every root call, and persists:
 
 * ``samples.csv`` -- header ``config_id,run,iteration,duration_ns``, one
   row per iteration; duration is the measured root-call time minus the
@@ -22,28 +27,36 @@ Per run the child persists:
 
 Each run is checked as it lands, by the loader ``report`` uses: a failed
 run, a config echo or counters that do not parse, counters that break
-``enqueued == written + overwritten + failed`` or a bad ``samples.csv``
-stops the suite at once. The child checks its counters with the same rule
-before it writes ``metadata.json``. ``report`` also refuses a result
-directory that lacks a run its config echo counts, holds one more, or
-whose runs echo different configs.
+``enqueued == written + overwritten + failed``, or a ``samples.csv`` with
+a bad row, a row whose config id, run or iteration is not its own, or
+another count than ``iterations`` stops the suite at once. The child
+checks its counters with the same rule before it writes
+``metadata.json``. ``report`` also refuses a result directory that lacks
+a run its config echo counts, holds one more, or whose runs echo
+different configs; so ``run_config`` refuses, before its first child, a
+result directory that holds runs beyond its own ``runs``.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import os
+import platform
 import subprocess
 import sys
+import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import Sequence, get_args, get_origin, get_type_hints
 
-from .pipeline import PipelineConfig, PipelineReport
+from .pipeline import Pipeline, PipelineConfig, PipelineReport, WriterKind
+from .probes import ProbeKind
 from .trace_registry import monotonic_ns
-from .workload import WorkloadParams
+from .workload import CallChain, WorkloadParams
 
 __all__ = [
     "BenchmarkConfig",
@@ -253,11 +266,18 @@ def run_config(config: BenchmarkConfig, out_dir: str | Path,
 
     A crashing child, or one killed after ``child_timeout_s``, leaves its
     partial data in place, gets a ``metadata.json`` with ``failed: true``,
-    and raises BenchmarkError; so does a finished run whose counters do
-    not balance or whose sample count is not ``iterations``.
+    and raises BenchmarkError; so does a finished run that ``report``
+    would refuse. A result directory holding ``run_<k>`` with k >= ``runs``
+    (left by an earlier, larger run) is refused before any child starts.
     """
     out_dir = Path(out_dir)
     result_dir = out_dir / result_dir_name(config.config_id, depth_key)
+    stale = [entry.name for entry in sorted(result_dir.glob("run_*"), key=_run_index)
+             if _run_index(entry) >= config.runs]
+    if stale:
+        raise BenchmarkError(
+            f"{result_dir}: holds {stale} beyond the config's runs={config.runs}; "
+            f"remove them or write to another directory")
     runs: list[list[int]] = []
     for run_index in range(config.runs):
         run_dir = result_dir / f"run_{run_index}"
@@ -300,6 +320,100 @@ def run_config(config: BenchmarkConfig, out_dir: str | Path,
                      warmup_fraction=config.warmup_fraction, runs=runs)
 
 
+def run_child(child_config: dict) -> None:
+    """One run, in the child process: time ``iterations`` root calls, then
+    write ``samples.csv`` and ``metadata.json`` into the run directory."""
+    config = config_from_dict(child_config["config"])
+    run_index = int(child_config["run"])
+    run_dir = Path(child_config["run_dir"])
+    keep_log = child_config["keep_monitoring_log"]
+
+    log_path = run_dir / "monitoring.log"
+    pipeline = None
+    if config.pipeline.probe is not ProbeKind.NONE:
+        pipeline = Pipeline(replace(config.pipeline, output_path=str(log_path))).start()
+
+    chain = CallChain(config.pipeline.probe, pipeline, config.workload)
+
+    n = config.iterations
+    depth = config.workload.depth
+    busy_ns = config.workload.busy_ns
+    call = chain.call
+    clock = monotonic_ns
+
+    samples = [0] * n
+    checksum = 0
+    gc_before = gc.get_stats()
+    # The producer's CPU time is read inside the wall interval, so it cannot exceed it.
+    wall_before = time.perf_counter()
+    cpu_before = time.thread_time()
+    for i in range(n):
+        t0 = clock()
+        checksum += call(depth)
+        samples[i] = clock() - t0 - busy_ns
+    cpu_after = time.thread_time()
+    wall_after = time.perf_counter()
+    gc_after = gc.get_stats()
+
+    chain.flush()
+    report = (pipeline.shutdown() if pipeline is not None
+              else PipelineReport(enqueued=0, written=0, overwritten=0, dropped=0))
+    check_counters(report, run_dir)
+
+    # The checksum must be consumed so the call chain cannot be elided.
+    if checksum == 0:
+        raise RuntimeError("workload checksum is zero; chain was not executed")
+
+    config_id = config.config_id
+    with open(run_dir / "samples.csv", "w", encoding="utf-8") as f:
+        f.write(SAMPLES_CSV_HEADER + "\n")
+        for i, duration in enumerate(samples):
+            f.write(f"{config_id},{run_index},{i},{duration}\n")
+
+    log_lines = None
+    if pipeline is not None and config.pipeline.writer is WriterKind.FILE:
+        with open(log_path, "r", encoding="utf-8") as f:
+            log_lines = sum(1 for _ in f)
+        if not keep_log:
+            log_path.unlink()
+
+    metadata = {
+        "config_id": config_id,
+        "run": run_index,
+        "pid": os.getpid(),
+        "config": child_config["config"],
+        "counters": asdict(report),
+        "clock_resolution_ns": estimate_clock_resolution_ns(),
+        "checksum": checksum,
+        "monitoring_log_lines": log_lines,
+        "environment": {
+            "implementation": sys.implementation.name,
+            "python_version": platform.python_version(),
+            "cpu_count": os.cpu_count(),
+            "cpu_affinity": sorted(os.sched_getaffinity(0)),
+            "switch_interval_s": sys.getswitchinterval(),
+            "gc_collections": [after["collections"] - before["collections"]
+                               for before, after in zip(gc_before, gc_after)],
+            "loop_wall_s": wall_after - wall_before,
+            "producer_cpu_s": cpu_after - cpu_before,
+        },
+        "failed": False,
+    }
+    (run_dir / "metadata.json").write_text(
+        json.dumps(metadata, indent=2), encoding="utf-8")
+
+
+def main(argv: list[str] | None = None) -> int:
+    """The child's entry point: ``python -m minimon._child <child-config.json>``."""
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: python -m minimon._child <child-config.json>", file=sys.stderr)
+        return 2
+    child_config = json.loads(Path(argv[0]).read_text(encoding="utf-8"))
+    run_child(child_config)
+    return 0
+
+
 def sweep_depths(configs: Sequence[BenchmarkConfig], depths: Sequence[int],
                  out_dir: str | Path,
                  keep_monitoring_log: bool = True) -> dict[tuple[str, int], SampleSet]:
@@ -315,19 +429,25 @@ def sweep_depths(configs: Sequence[BenchmarkConfig], depths: Sequence[int],
             for key, derived in grid.items()}
 
 
-def _read_samples_csv(path: Path) -> list[int]:
+def _read_samples_csv(path: Path, config_id: str, run_index: int) -> list[int]:
+    """The durations of ``samples.csv``, refused unless row ``i`` starts
+    with ``config_id``, ``run_index`` and ``i``."""
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != SAMPLES_CSV_HEADER:
         raise BenchmarkError(f"{path}: missing or bad samples header")
     samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    run = str(run_index)
+    for i, line in enumerate(lines[1:]):
         fields = line.split(",")
         if len(fields) != 4:
-            raise BenchmarkError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
+            raise BenchmarkError(f"{path}:{i + 2}: expected 4 fields, got {len(fields)}")
+        if fields[:3] != [config_id, run, str(i)]:
+            raise BenchmarkError(f"{path}:{i + 2}: expected row {config_id},{run},{i}, "
+                                 f"got {','.join(fields[:3])}")
         try:
             samples.append(int(fields[3]))
         except ValueError:
-            raise BenchmarkError(f"{path}:{lineno}: bad duration {fields[3]!r}") from None
+            raise BenchmarkError(f"{path}:{i + 2}: bad duration {fields[3]!r}") from None
     return samples
 
 
@@ -341,7 +461,8 @@ def check_counters(counters: PipelineReport, where) -> None:
 
 def _load_run(run_dir: Path) -> tuple[dict, BenchmarkConfig, list[int]]:
     """One run's raw metadata, parsed config echo and samples, refused unless
-    its counters balance and it has one sample per configured iteration. A
+    its counters balance and it has one sample per configured iteration, in
+    rows that name the echo's config id, this run and the iteration. A
     run recorded before the writer counted failures has no ``failed``
     counter, which then defaults to 0."""
     meta_path = run_dir / "metadata.json"
@@ -362,7 +483,7 @@ def _load_run(run_dir: Path) -> tuple[dict, BenchmarkConfig, list[int]]:
         raise BenchmarkError(f"{meta_path}: {exc}") from None
     check_counters(counters, run_dir)
     samples_path = run_dir / "samples.csv"
-    samples = _read_samples_csv(samples_path)
+    samples = _read_samples_csv(samples_path, config.config_id, _run_index(run_dir))
     if len(samples) != config.iterations:
         raise BenchmarkError(
             f"{samples_path}: expected {config.iterations} samples, found {len(samples)}")

@@ -17,18 +17,12 @@ import itertools
 import threading
 import time
 
-__all__ = ["TraceRegistry", "monotonic_ns", "reset_trace_id_allocator"]
+__all__ = ["TraceRegistry", "monotonic_ns"]
 
 monotonic_ns = time.perf_counter_ns
 
 # next() on a count is one C call under the GIL: ids never repeat across threads.
 _trace_ids = itertools.count()
-
-
-def reset_trace_id_allocator() -> None:
-    """Reset the process-global trace id counter (test isolation only)."""
-    global _trace_ids
-    _trace_ids = itertools.count()
 
 
 class _State:

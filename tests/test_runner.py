@@ -1,14 +1,15 @@
 import json
 import os
 import platform
+import re
 import shutil
+import subprocess
 import sys
 from dataclasses import replace
 
 import pytest
 
 from minimon import runner
-from minimon._child import run_child
 from minimon.cli import load_suite
 from minimon.pipeline import Pipeline, PipelineConfig, WriterKind
 from minimon.probes import ProbeKind
@@ -22,6 +23,7 @@ from minimon.runner import (
     discard_warmup,
     find_result_dirs,
     load_sample_set,
+    run_child,
     run_config,
     sweep_depths,
 )
@@ -229,6 +231,36 @@ def test_load_sample_set_refuses_a_run_beyond_the_config(tmp_path):
         load_sample_set(tmp_path / "tiny")
 
 
+@pytest.mark.parametrize("column, value, message", [
+    (0, "other", "expected row tiny,1,3, got other,1,3"),
+    (1, "0", "expected row tiny,1,3, got tiny,0,3"),
+    (2, "4", "expected row tiny,1,3, got tiny,1,4"),
+    (3, "1.5", "bad duration '1.5'"),
+], ids=["config_id", "run", "iteration", "duration_ns"])
+def test_load_sample_set_refuses_a_samples_row_with_a_wrong_column(tmp_path, column, value,
+                                                                    message):
+    run_config(tiny_config(iterations=20, runs=2), tmp_path)
+    path = tmp_path / "tiny" / "run_1" / "samples.csv"
+    lines = path.read_text().splitlines()
+    row = lines[4].split(",")  # iteration 3, on line 5
+    row[column] = value
+    lines[4] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(BenchmarkError, match=re.escape(f"{path}:5: {message}")):
+        load_sample_set(tmp_path / "tiny")
+
+
+def test_run_config_refuses_runs_left_by_a_larger_earlier_run(tmp_path, monkeypatch):
+    def spawn(args, **kwargs):
+        raise AssertionError(f"a child was spawned: {args}")
+
+    monkeypatch.setattr(runner.subprocess, "run", spawn)
+    for k in range(4):
+        (tmp_path / "tiny" / f"run_{k}").mkdir(parents=True)
+    with pytest.raises(BenchmarkError, match=re.escape("tiny: holds ['run_2', 'run_3'] beyond")):
+        run_config(tiny_config(iterations=20, runs=2), tmp_path)
+
+
 def test_load_sample_set_refuses_a_run_with_another_config(tmp_path):
     run_config(tiny_config(probe=ProbeKind.DIRECT_DURATION, iterations=20, runs=3), tmp_path)
     meta_path = tmp_path / "tiny" / "run_2" / "metadata.json"
@@ -266,10 +298,34 @@ def test_child_refuses_unbalanced_counters_before_writing_metadata(tmp_path, mon
 
     monkeypatch.setattr(Pipeline, "shutdown", unbalanced_shutdown)
     config = tiny_config(probe=ProbeKind.DIRECT_DURATION, iterations=20, runs=1)
-    child_config = {"config": config_to_dict(config), "run": 0, "run_dir": str(tmp_path)}
+    child_config = {"config": config_to_dict(config), "run": 0, "run_dir": str(tmp_path),
+                    "keep_monitoring_log": True}
     with pytest.raises(BenchmarkError, match="do not balance"):
         run_child(child_config)
     assert not (tmp_path / "metadata.json").exists()
+
+
+def test_child_entry_point_without_its_argument_prints_the_usage():
+    proc = subprocess.run([sys.executable, "-m", "minimon._child"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "usage: python -m minimon._child <child-config.json>\n"
+
+
+def test_child_entry_point_runs_one_run_without_a_warning_in_development_mode(tmp_path):
+    config = tiny_config(probe=ProbeKind.DIRECT_DURATION, writer=WriterKind.FILE,
+                         iterations=20, runs=1)
+    run_dir = tmp_path / "tiny" / "run_0"
+    run_dir.mkdir(parents=True)
+    config_path = run_dir / "child-config.json"
+    config_path.write_text(json.dumps({"config": config_to_dict(config), "run": 0,
+                                       "run_dir": str(run_dir), "keep_monitoring_log": True}))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "minimon._child", str(config_path)],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    sample_set, metadata = load_sample_set(tmp_path / "tiny")
+    assert len(sample_set.runs[0]) == 20 and metadata[0]["monitoring_log_lines"] == 20 * 3
 
 
 def test_hung_child_is_killed_and_recorded_as_a_failed_run(tmp_path, monkeypatch):

@@ -5,16 +5,18 @@ import time
 
 import pytest
 
-from minimon.trace_registry import TraceRegistry, reset_trace_id_allocator
+from minimon.trace_registry import TraceRegistry
 
-
-@pytest.fixture(autouse=True)
-def fresh_allocator():
-    reset_trace_id_allocator()
+# Trace ids come from one process-wide allocator, so each test asserts ids
+# relative to the first one it draws.
 
 
 def test_fresh_thread_has_no_trace():
-    assert TraceRegistry().enter_method() == (0, 0, 0)
+    reg = TraceRegistry()
+    trace_id, eoi, ess = reg.enter_method()
+    assert (eoi, ess) == (0, 0)
+    reg.exit_method()
+    assert reg.enter_method() == (trace_id + 1, 0, 0)
 
 
 def test_begin_trace_returns_increasing_ids():
@@ -24,7 +26,7 @@ def test_begin_trace_returns_increasing_ids():
         ids.append(reg.begin_trace())
         reg.enter_method()
         reg.exit_method()
-    assert ids == [0, 1, 2]
+    assert ids == [ids[0], ids[0] + 1, ids[0] + 2]
 
 
 def test_next_entry_after_begin_and_end():
@@ -80,18 +82,19 @@ def test_top_level_siblings_start_fresh_traces():
 
 def test_enter_without_active_trace_starts_one():
     reg = TraceRegistry()
-    reg.begin_trace()
+    first = reg.begin_trace()
     reg.enter_method()
-    reg.exit_method()  # trace 0 ends, so the next entry starts trace 1
-    assert reg.enter_method() == (1, 0, 0)
-    assert [reg.enter_method() for _ in range(3)] == [(1, 1, 1), (1, 2, 2), (1, 3, 3)]
+    reg.exit_method()  # the begun trace ends, so the next entry starts the next
+    tid = first + 1
+    assert reg.enter_method() == (tid, 0, 0)
+    assert [reg.enter_method() for _ in range(3)] == [(tid, 1, 1), (tid, 2, 2), (tid, 3, 3)]
     with pytest.raises(RuntimeError):
         reg.begin_trace()
     for depth in range(4, 0, -1):
-        assert reg.enter_method() == (1, 8 - depth, depth)
+        assert reg.enter_method() == (tid, 8 - depth, depth)
         reg.exit_method()
         reg.exit_method()
-    assert reg.enter_method() == (2, 0, 0)
+    assert reg.enter_method() == (tid + 1, 0, 0)
 
 
 def test_unmatched_exit_is_error():
@@ -117,7 +120,7 @@ def test_distinct_ids_across_threads():
         t.start()
     for t in threads:
         t.join()
-    assert sorted(ids) == list(range(8))
+    assert sorted(ids) == list(range(min(ids), min(ids) + 8))
 
 
 def test_ess_matches_explicit_stack_model():
