@@ -63,19 +63,13 @@ def _resolve_out(args_out: str | None, suite: runner.Suite) -> Path:
 
 
 def _run_suite(args, suite: runner.Suite, depths: list[int] | None) -> int:
-    """Run each config at its own depth or, for a sweep, at each of ``depths``."""
+    """Run each cell of the suite's plan, which is checked before the first."""
     out_dir = _resolve_out(args.out, suite)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sweep = depths is not None
-    for config in suite.configs:
-        at = f"depths={','.join(map(str, depths))}" if sweep else f"d={config.workload.depth}"
-        print(f"{'sweeping' if sweep else 'running'} {config.config_id} "
-              f"(n={config.iterations}, runs={config.runs}, {at}) ...", flush=True)
-        if sweep:
-            runner.sweep_depths([config], depths, out_dir, keep_monitoring_log=args.keep_logs)
-        else:
-            runner.run_config(config, out_dir, keep_monitoring_log=args.keep_logs)
-    print(f"{'sweep results' if sweep else 'results'} written to {out_dir}")
+    for (config_id, depth_key), config in runner.plan(suite.configs, out_dir, depths).items():
+        print(f"running {runner.result_dir_name(config_id, depth_key)} (n={config.iterations}, "
+              f"runs={config.runs}, d={config.workload.depth}) ...", flush=True)
+        runner.run_config(config, out_dir, args.keep_logs, depth_key)
+    print(f"results written to {out_dir}")
     return 0
 
 

@@ -149,14 +149,18 @@ def _full_lines(run, decimal, signature, hostname, session_id) -> list[str]:
             if r.signature is signature and r.hostname is hostname and r.session_id is session_id]
 
 
+# These two leave out a record whose numbers are not exact ints in range.
 def _duration_lines(run, decimal, signature) -> list[str]:
     head = f"DUR;{signature};"
-    return [f"{head}{r.duration}" for r in run if r.signature is signature]
+    return [f"{head}{r.duration}" for r in run
+            if r.signature is signature and type(r.duration) is int and r.duration >= 0]
 
 
 def _aggregated_lines(run, decimal, signature) -> list[str]:
     head = f"AGG;{signature};"
-    return [f"{head}{r.count};{r.sum_duration}" for r in run if r.signature is signature]
+    return [f"{head}{r.count};{r.sum_duration}" for r in run
+            if r.signature is signature and type(r.count) is type(r.sum_duration) is int
+            and r.count >= 1 and r.sum_duration >= 0]
 
 
 # Record type -> (its text fields, its formatter).
@@ -169,9 +173,9 @@ _LAYOUTS = {
 
 def _run_lines(run, decimal) -> list[str] | None:
     """The lines of a run of one record type, or None when the formatter
-    left a record out. Raises RecordFormatError for a run of no record type
-    or a refused first text value, and whatever ``decimal`` raises for an
-    eoi or ess it does not hold."""
+    left a record out. Raises RecordFormatError for a run of no record type,
+    a refused first text value or a run left out whole, and whatever
+    ``decimal`` raises for an eoi or ess it does not hold."""
     first = run[0]
     layout = _LAYOUTS.get(type(first))
     if layout is None:
@@ -181,6 +185,8 @@ def _run_lines(run, decimal) -> list[str] | None:
     for value in values:
         _check_signature(value)
     lines = format_run(run, decimal, *values)
+    if not lines:  # the first record's text values are its own, so a number left it out
+        raise RecordFormatError(f"a number of {first!r} is not an int in range")
     return lines if len(lines) == len(run) else None
 
 
@@ -189,7 +195,7 @@ def serialize(record: MonitoringRecord) -> str:
 
     Raises RecordFormatError for anything that is not a monitoring record,
     for a text field that is not a str or holds the delimiter or a control
-    character, and for an eoi or ess that does not render as an int >= 0.
+    character, and for a number that does not render as an int in range.
     """
     try:
         return _run_lines((record,), _ANY_DECIMAL)[0]

@@ -33,8 +33,8 @@ another count than ``iterations`` stops the suite at once. The child
 checks its counters with the same rule before it writes
 ``metadata.json``. ``report`` also refuses a result directory that lacks
 a run its config echo counts, holds one more, or whose runs echo
-different configs; so ``run_config`` refuses, before its first child, a
-result directory that holds runs beyond its own ``runs``.
+different configs; so :func:`plan` refuses, before a command's first
+child, a result directory that holds runs beyond its cell's ``runs``.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ __all__ = [
     "config_to_dict",
     "config_from_dict",
     "suite_from_dict",
+    "plan",
     "run_config",
     "sweep_depths",
     "discard_warmup",
@@ -108,6 +109,9 @@ class BenchmarkConfig:
     warmup_fraction: float = 0.5
 
     def __post_init__(self):
+        name = self.config_id
+        if name in ("", ".", "..") or not name.isprintable() or any(c in name for c in ",/\\"):
+            raise ValueError(f"config_id {name!r} cannot name a directory and a CSV field")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.runs < 1:
@@ -129,13 +133,15 @@ class Suite:
     def __post_init__(self):
         if not self.configs:
             raise ValueError("'configs' must be a nonempty list")
-        seen = set()
-        for config in self.configs:
-            if config.config_id in seen:
-                raise ValueError(f"duplicate config_id {config.config_id!r}")
-            seen.add(config.config_id)
+        _refuse_duplicate_ids(self.configs)
         if self.depths is not None and any(d < 1 for d in self.depths):
             raise ValueError("'depths' must be a list of integers >= 1")
+
+
+def _refuse_duplicate_ids(configs: Sequence[BenchmarkConfig]) -> None:
+    ids = [config.config_id for config in configs]
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"duplicate config_id {next(i for i in ids if ids.count(i) > 1)!r}")
 
 
 @dataclass
@@ -199,7 +205,10 @@ def _from_dict(cls, data, where: str):
             values[f.name] = _parse(hints[f.name], data[f.name], f.name, f"{where} {f.name!r}")
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"{where} is missing {f.name!r}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _parse(kind, value, name: str, label: str):
@@ -259,6 +268,27 @@ def child_timeout_s(config: BenchmarkConfig) -> float:
         workload.depth * CHILD_LEVEL_S + workload.busy_ns / 1e9)
 
 
+def plan(configs: Sequence[BenchmarkConfig], out_dir: str | Path,
+         depths: Sequence[int] | None = None) -> dict[tuple[str, int | None], BenchmarkConfig]:
+    """The cells a command runs, keyed ``(config_id, depth key)``: each config at its
+    own depth (key None) or the configs x ``depths`` grid. Checked whole: a duplicate id,
+    or a result directory holding ``run_<k>`` with k >= its cell's ``runs``, is refused."""
+    _refuse_duplicate_ids(configs)
+    if depths is not None and not depths:
+        raise ValueError("depths must be nonempty")
+    cells = {(config.config_id, depth): config if depth is None
+             else replace(config, workload=replace(config.workload, depth=depth))
+             for config in configs for depth in (depths or [None])}
+    for (config_id, depth), config in cells.items():
+        result_dir = Path(out_dir) / result_dir_name(config_id, depth)
+        stale = [entry.name for entry in sorted(result_dir.glob("run_*"), key=_run_index)
+                 if _run_index(entry) >= config.runs]
+        if stale:
+            raise BenchmarkError(f"{result_dir}: holds {stale} beyond the config's "
+                                 f"runs={config.runs}; remove them or write to another directory")
+    return cells
+
+
 def run_config(config: BenchmarkConfig, out_dir: str | Path,
                keep_monitoring_log: bool = True,
                depth_key: int | None = None) -> SampleSet:
@@ -267,20 +297,12 @@ def run_config(config: BenchmarkConfig, out_dir: str | Path,
     A crashing child, or one killed after ``child_timeout_s``, leaves its
     partial data in place, gets a ``metadata.json`` with ``failed: true``,
     and raises BenchmarkError; so does a finished run that ``report``
-    would refuse. A result directory holding ``run_<k>`` with k >= ``runs``
-    (left by an earlier, larger run) is refused before any child starts.
+    would refuse. :func:`plan` checks the one cell before any child starts.
     """
-    out_dir = Path(out_dir)
-    result_dir = out_dir / result_dir_name(config.config_id, depth_key)
-    stale = [entry.name for entry in sorted(result_dir.glob("run_*"), key=_run_index)
-             if _run_index(entry) >= config.runs]
-    if stale:
-        raise BenchmarkError(
-            f"{result_dir}: holds {stale} beyond the config's runs={config.runs}; "
-            f"remove them or write to another directory")
+    plan([config], out_dir, None if depth_key is None else [depth_key])
     runs: list[list[int]] = []
     for run_index in range(config.runs):
-        run_dir = result_dir / f"run_{run_index}"
+        run_dir = Path(out_dir) / result_dir_name(config.config_id, depth_key) / f"run_{run_index}"
         run_dir.mkdir(parents=True, exist_ok=True)
         child_config = {
             "config": config_to_dict(config),
@@ -417,16 +439,9 @@ def main(argv: list[str] | None = None) -> int:
 def sweep_depths(configs: Sequence[BenchmarkConfig], depths: Sequence[int],
                  out_dir: str | Path,
                  keep_monitoring_log: bool = True) -> dict[tuple[str, int], SampleSet]:
-    """Run the {configs} x {depths} grid; results keyed by (config_id, depth)."""
-    if not depths:
-        raise ValueError("depths must be nonempty")
-    # The whole grid is built first, so a bad depth fails before any child runs.
-    grid = {(config.config_id, depth):
-            replace(config, workload=replace(config.workload, depth=depth))
-            for config in configs for depth in depths}
-    return {key: run_config(derived, out_dir, keep_monitoring_log=keep_monitoring_log,
-                            depth_key=key[1])
-            for key, derived in grid.items()}
+    """Run the :func:`plan` of the {configs} x {depths} grid; keyed by (config_id, depth)."""
+    return {key: run_config(config, out_dir, keep_monitoring_log, key[1])
+            for key, config in plan(configs, out_dir, depths).items()}
 
 
 def _read_samples_csv(path: Path, config_id: str, run_index: int) -> list[int]:

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from minimon import runner
+
 
 @pytest.fixture
 def python_calls():
@@ -30,6 +32,15 @@ def python_calls():
         return calls
 
     return count
+
+
+@pytest.fixture
+def no_children(monkeypatch):
+    """Fail the test if the runner spawns a benchmark child."""
+    def spawn(args, **kwargs):
+        raise AssertionError(f"a child was spawned: {args}")
+
+    monkeypatch.setattr(runner.subprocess, "run", spawn)
 
 
 class HookedDeque(collections.deque):

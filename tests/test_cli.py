@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 
 import pytest
@@ -15,14 +16,14 @@ def write_suite(tmp_path, configs, depths=None):
     return str(path)
 
 
-def tiny_suite(tmp_path, n=2):
+def tiny_suite(tmp_path, n=2, depths=None):
     configs = [
         {"config_id": "none", "pipeline": {"probe": "none", "writer": "null"},
          "workload": {"depth": 2}, "iterations": 30, "runs": n},
         {"config_id": "dur", "pipeline": {"probe": "direct-duration", "writer": "file"},
          "workload": {"depth": 2}, "iterations": 30, "runs": n},
     ]
-    return write_suite(tmp_path, configs)
+    return write_suite(tmp_path, configs, depths)
 
 
 def test_bundled_default_suite_loads():
@@ -81,6 +82,14 @@ def test_duplicate_config_id_rejected(tmp_path):
         {"config_id": "x", "pipeline": {"probe": "none"}},
         {"config_id": "x", "pipeline": {"probe": "none"}}])
     with pytest.raises(SuiteConfigError, match="duplicate"):
+        load_suite(path)
+
+
+@pytest.mark.parametrize("config_id", ["", "..", "a,b", "x/y"], ids=repr)
+def test_load_suite_refuses_a_config_id_naming_the_file_and_the_config(tmp_path, config_id):
+    path = write_suite(tmp_path, [{"config_id": "ok"}, {"config_id": config_id}])
+    with pytest.raises(SuiteConfigError,
+                       match=re.escape(f"suite.json: configs[1]: config_id {config_id!r}")):
         load_suite(path)
 
 
@@ -178,6 +187,22 @@ def test_report_refuses_a_result_with_a_missing_or_mixed_run(tmp_path, capsys):
     assert main(["report", "--in", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("minimon: error: ") and "missing ['run_1']" in err
+
+
+@pytest.mark.parametrize("command, last", [("run", "dur"), ("sweep", "dur__d2")])
+def test_a_stale_last_cell_is_refused_before_the_commands_first_child(tmp_path, request,
+                                                                       capsys, command, last):
+    out = tmp_path / "results"
+    argv = [command, "--config", tiny_suite(tmp_path, depths=[1, 2]), "--out", str(out)]
+    assert main(argv) == 0
+    shutil.copytree(out / last / "run_1", out / last / "run_2")  # as a larger earlier run left it
+    before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+
+    request.getfixturevalue("no_children")  # from here on, a spawned child fails the test
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert f"{out / last}: holds ['run_2'] beyond the config's runs=2" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
 
 
 def test_sweep_and_plot(tmp_path, capsys):

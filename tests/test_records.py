@@ -1,3 +1,4 @@
+import re
 from dataclasses import astuple, replace
 
 import pytest
@@ -384,6 +385,27 @@ def test_unhashable_eoi_or_ess_is_refused(field):
     with pytest.raises(RecordFormatError):
         serialize(batch[5])
     assert serialize_batch(batch) == (clean[:5] + clean[6:], 1)
+
+
+_NOT_AN_INT_IN_RANGE = [("duration", 1.5), ("duration", True), ("duration", -1),
+                        ("count", 2.0), ("count", True), ("count", 0),
+                        ("sum_duration", 3.0), ("sum_duration", True), ("sum_duration", -1)]
+
+
+@pytest.mark.parametrize("field, value", _NOT_AN_INT_IN_RANGE,
+                         ids=[f"{field}={value!r}" for field, value in _NOT_AN_INT_IN_RANGE])
+def test_duration_count_or_sum_that_is_not_an_int_in_range_is_refused(field, value):
+    # It would render as a line that deserialize refuses ("1.5", "True").
+    # The constructors let every value through but one below the range,
+    # which gets in only after construction.
+    clean = DurationRecord("a()", 1) if field == "duration" else AggregatedRecord("a()", 1, 1)
+    spoilt = [_set_after_construction(replace(clean), **{field: value})]
+    if type(value) is not int:
+        spoilt.append(replace(clean, **{field: value}))
+    for record in spoilt:
+        with pytest.raises(RecordFormatError, match=re.escape(f"{record!r} is not an int")):
+            serialize(record)
+        assert serialize_batch([clean, record, clean]) == ([serialize(clean)] * 2, 1)
 
 
 @pytest.mark.parametrize("n", [2000, 2001])

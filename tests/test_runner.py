@@ -98,6 +98,20 @@ def test_config_from_dict_rejects_wrong_json_types(data, names):
         config_from_dict(data)
 
 
+@pytest.mark.parametrize("config_id", ["", ".", "..", "a,b", "x/y", "x\\y", "a\nb", "a\x7f",
+                                       "a\u2028b"], ids=repr)
+def test_config_from_dict_refuses_an_id_that_cannot_name_a_directory_or_a_samples_field(
+        config_id):
+    with pytest.raises(ValueError, match=re.escape(f"config: config_id {config_id!r} cannot")):
+        config_from_dict({"config_id": config_id})
+
+
+def test_run_config_of_dot_dot_writes_nothing_beside_out(tmp_path, no_children):
+    with pytest.raises(ValueError, match="config_id '..'"):
+        run_config(tiny_config(config_id="..", iterations=20, runs=1), tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_config_produces_raw_files(tmp_path):
     config = tiny_config(iterations=100, runs=2)
     sample_set = run_config(config, tmp_path)
@@ -250,11 +264,7 @@ def test_load_sample_set_refuses_a_samples_row_with_a_wrong_column(tmp_path, col
         load_sample_set(tmp_path / "tiny")
 
 
-def test_run_config_refuses_runs_left_by_a_larger_earlier_run(tmp_path, monkeypatch):
-    def spawn(args, **kwargs):
-        raise AssertionError(f"a child was spawned: {args}")
-
-    monkeypatch.setattr(runner.subprocess, "run", spawn)
+def test_run_config_refuses_runs_left_by_a_larger_earlier_run(tmp_path, no_children):
     for k in range(4):
         (tmp_path / "tiny" / f"run_{k}").mkdir(parents=True)
     with pytest.raises(BenchmarkError, match=re.escape("tiny: holds ['run_2', 'run_3'] beyond")):
@@ -378,6 +388,20 @@ def test_sweep_depths_validation(tmp_path):
         sweep_depths([config], [0], tmp_path)
     with pytest.raises(ValueError, match="depth"):
         sweep_depths([config], [2, 0], tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_plan_keys_each_config_at_its_own_depth_or_the_grid(tmp_path):
+    a, b = tiny_config("a", depth=3), tiny_config("b", depth=5)
+    assert runner.plan([a, b], tmp_path) == {("a", None): a, ("b", None): b}
+    grid = runner.plan([a, b], tmp_path, [2, 4])
+    assert {key: config.workload.depth for key, config in grid.items()} == {
+        ("a", 2): 2, ("a", 4): 4, ("b", 2): 2, ("b", 4): 4}
+
+
+def test_sweep_depths_refuses_a_shared_config_id_before_any_child(tmp_path, no_children):
+    with pytest.raises(ValueError, match="duplicate config_id 'x'"):
+        sweep_depths([tiny_config("x"), tiny_config("x", depth=5)], [2], tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 
