@@ -15,7 +15,11 @@ monitored method with inline probe statements serves all three.
   and ``eoi`` and ``ess`` come from the registry's counters, which are
   never negative. The record equals ``FullRecord(...)``'s.
 * ``DirectDurationProbe`` -- minimal DurationRecords, touching no trace
-  state.
+  state. Its exit reads the clock first, as the full probe's does, then
+  allocates the record like the full probe and stores both slots itself,
+  skipping ``DurationRecord.__init__``'s check: the duration is a
+  difference of two monotonic clock readings, so it is an int that is
+  never negative. The record equals ``DurationRecord(...)``'s.
 * ``AggregatingProbe`` -- sums durations per signature and emits one
   AggregatedRecord per window of W invocations; its ``exit`` holds the
   one copy of the fold. An open window is the AggregatedRecord it will
@@ -29,7 +33,11 @@ monitored method with inline probe statements serves all three.
 Durations come from a monotonic nanosecond clock, never wall-clock time.
 The duration and aggregating probes' ``enter`` is that clock itself, so
 entering a call costs one C call and no Python frame; the full probe's
-costs one frame.
+costs one frame. No probe builds a record through its class, so each
+level of a monitored call opens four Python frames with the full probe
+(the method, ``enter``, ``exit`` and the queue's ``put``), three with the
+duration probe (the method, ``exit`` and ``put``) and two with the
+aggregating probe (the method and ``exit``; it emits once per window).
 """
 
 from __future__ import annotations
@@ -60,10 +68,10 @@ BENCH_SESSION_ID = "s0"
 
 DEFAULT_AGGREGATION_WINDOW = 1000
 
-# ``DirectFullProbe.exit`` allocates its record with this, not through
-# ``FullRecord(...)``: a call on the class runs ``type.__call__`` and then
+# Every probe allocates its records with this, not through the class: a
+# call such as ``FullRecord(...)`` runs ``type.__call__`` and then
 # ``__init__`` in a frame of its own, while this allocates the bare record,
-# whose slots the exit then stores in its own frame; ``_open_window`` too.
+# whose slots the probe then stores in its own frame.
 _new_object = object.__new__
 
 
@@ -120,7 +128,11 @@ class DirectDurationProbe:
         self._emit = emit
 
     def exit(self, signature: str, tin: int) -> None:
-        self._emit(DurationRecord(signature, monotonic_ns() - tin))
+        duration = monotonic_ns() - tin
+        record = _new_object(DurationRecord)
+        record.signature = signature
+        record.duration = duration
+        self._emit(record)
 
 
 class AggregatingProbe:

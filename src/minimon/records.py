@@ -18,17 +18,19 @@ The records are slotted but not frozen: every probe's hot path builds one
 per call, and a frozen ``__init__`` sets each field through
 ``object.__setattr__``, which costs several times a plain slot store.
 They still compare and hash by value; no record changes once it is
-emitted. The full probe, which builds one ``FullRecord`` per level of a
-monitored chain, allocates it with ``object.__new__(FullRecord)`` and
-stores its eight slots in its own frame, without ``__init__``: its fields
-are valid by construction. The aggregating probe allocates its open
-windows, the ``AggregatedRecord``s it emits, the same way. Every other
-source (``FullRecord(...)``, ``deserialize``, ``dataclasses.replace``)
-runs ``__post_init__``, which checks what the probes guarantee: for a
-``FullRecord``, ``tin``, ``tout`` and ``trace_id`` are exactly ``int``,
-``tout`` is not before ``tin``, and ``eoi`` and ``ess`` are not
-negative. The writer drops a batch's records once it has formatted them,
-before it writes.
+emitted. Every probe allocates its records with ``object.__new__`` and
+stores their slots in its own frame, without ``__init__``: their fields
+are valid by construction. The full probe builds one ``FullRecord`` per
+level of a monitored chain and the duration probe one ``DurationRecord``;
+the aggregating probe's open windows are the ``AggregatedRecord``s it
+emits. Every other source (``FullRecord(...)``, ``deserialize``,
+``dataclasses.replace``) runs ``__post_init__``, which checks what the
+probes guarantee: for a ``FullRecord``, ``tin``, ``tout`` and
+``trace_id`` are exactly ``int``, ``tout`` is not before ``tin``, and
+``eoi`` and ``ess`` are not negative; a ``DurationRecord``'s duration is
+not negative. The writer still refuses a record whose numbers are not
+ints in range, whatever built it. It drops a batch's records once it has
+formatted them, before it writes.
 """
 
 from __future__ import annotations

@@ -114,13 +114,21 @@ def test_the_aggregating_probes_records_equal_the_classs_records():
 
 
 def test_direct_duration_emits_one_record_per_call():
+    # The probe stores both slots itself, without DurationRecord.__init__.
+    # Each record is exactly a DurationRecord, since the writer picks its
+    # formatter by exact type, and equals a twin built through __init__,
+    # which hashes and serializes the same.
     sink = Collector()
     probe = DirectDurationProbe(sink)
     for _ in range(10):
         tin = probe.enter()
         probe.exit("m()", tin)
     assert len(sink.records) == 10
-    assert all(isinstance(r, DurationRecord) and r.duration >= 0 for r in sink.records)
+    for record in sink.records:
+        assert type(record) is DurationRecord and record.duration >= 0
+        twin = DurationRecord(*dataclasses.astuple(record))
+        assert record == twin and hash(record) == hash(twin)
+        assert serialize(record) == serialize(twin)
 
 
 def test_direct_duration_touches_no_trace_state():

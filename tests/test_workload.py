@@ -9,7 +9,7 @@ import pytest
 import minimon
 from minimon.pipeline import Pipeline, PipelineConfig, WriterKind
 from minimon.probes import ProbeKind
-from minimon.records import DurationRecord, FullRecord
+from minimon.records import DurationRecord, FullRecord, deserialize
 from minimon.workload import CallChain, WorkloadParams
 
 
@@ -123,6 +123,21 @@ def test_every_probe_kind_times_its_leaf_and_records_each_level(probe_kind, tmp_
         assert len(collected) == (0 if probe_kind is ProbeKind.NONE else depth * calls)
 
 
+@pytest.mark.parametrize("probe_kind", [ProbeKind.DIRECT_FULL, ProbeKind.DIRECT_DURATION,
+                                        ProbeKind.DIRECT_AGGREGATING],
+                         ids=lambda kind: kind.value)
+def test_every_direct_probes_records_are_written_as_emitted(probe_kind, tmp_path):
+    # The probes build their records without __init__; the file writer
+    # writes each of them as a line that reads back as the same record.
+    path = tmp_path / "m.log"
+    p = Pipeline(PipelineConfig(writer=WriterKind.FILE, aggregation_window=3,
+                                output_path=str(path))).start()
+    emitted = records_emitted(p, probe_kind, WorkloadParams(depth=4), calls=5)
+    report = p.shutdown()
+    assert emitted and report.failed == 0 and report.written == len(emitted)
+    assert [deserialize(line) for line in path.read_text().splitlines()] == emitted
+
+
 def test_aggregating_emission_count(pipeline, tmp_path):
     p = Pipeline(PipelineConfig(probe=ProbeKind.DIRECT_AGGREGATING,
                                 writer=WriterKind.NULL, aggregation_window=10,
@@ -144,6 +159,22 @@ def test_direct_full_call_opens_at_most_four_python_frames_per_level(pipeline, p
     chain = CallChain(ProbeKind.DIRECT_FULL, pipeline, WorkloadParams(depth=10))
     chain.call(10)
     assert python_calls(chain.call, 10) <= 4 * 10
+
+
+def test_direct_duration_call_opens_at_most_three_python_frames_per_level(pipeline, python_calls):
+    # Per level: the method, exit and the queue's put; enter is the clock,
+    # and exit stores the record's slots in its own frame.
+    chain = CallChain(ProbeKind.DIRECT_DURATION, pipeline, WorkloadParams(depth=10))
+    chain.call(10)
+    assert python_calls(chain.call, 10) <= 3 * 10
+
+
+def test_direct_aggregating_call_opens_at_most_two_python_frames_per_level(
+        pipeline, python_calls):
+    # Per level: the method and exit, which emits only a full window; the
+    # first call also opens the signature's window once.
+    chain = CallChain(ProbeKind.DIRECT_AGGREGATING, pipeline, WorkloadParams(depth=10))
+    assert python_calls(chain.call, 10) <= 2 * 10 + 1
 
 
 def test_interceptor_full_call_opens_at_most_twelve_python_frames_per_level(
