@@ -6,25 +6,23 @@ is per batch: a put wakes nobody, and the consumer calls the one shared
 length it read, so an append that lands meanwhile stays for the next
 drain. A condition on the queue's one lock serves only a blocked put and
 the close. The queue owns the close: after ``close`` a put is counted in
-``dropped``, so each put is either enqueued or dropped. The empty drain
-after the close seals the queue and returns None, as does every later
-drain: the stream has ended. An open queue's empty drain returns ``[]``.
+``dropped``. The empty drain after the close seals the queue and returns
+None, as does every later drain: the stream has ended. An open queue's
+empty drain returns ``[]``.
 
-``BlockingLinkedQueue`` blocks the producer when full. A put into an open
-queue below capacity is one ``deque.append`` under the GIL and takes no
-lock; only a full or closed put takes it, to wait or to count the drop.
-Concurrent producers can pass the length check together, so the queue
-may overshoot ``capacity`` by at most producers - 1; it never evicts.
-``enqueued`` is derived as ``dequeued + len`` and freezes at ``dequeued``
-on the seal: a record whose append passed the open check before the close
-but lands after the seal counts as dropped, so a put is written or
-dropped, never lost.
+The queues differ only in ``put``. ``BlockingLinkedQueue`` blocks the
+producer when full. Its put into an open queue below capacity takes no
+lock, since one ``deque.append`` is atomic under the GIL; so concurrent
+producers can pass the length check together and overshoot ``capacity``
+by at most producers - 1. ``SyncRingQueue`` is a ``deque(maxlen=capacity)``
+ring that never blocks: a full ring's append evicts the oldest record.
+Its put keeps the lock, so the full ring it sees is the one its append
+evicts from, and it counts that eviction in ``overwritten``.
 
-``SyncRingQueue`` is a ``deque(maxlen=capacity)`` ring that never blocks
-the producer: when full, the newest element overwrites the oldest. Its
-put appends and counts ``enqueued`` under the lock, so nothing lands
-after the seal, and ``stats`` derives ``overwritten`` as
-``enqueued - dequeued - len``.
+No put counts ``enqueued``: it is ``dequeued + overwritten + len``,
+frozen at the seal. A record whose append passed the open check before
+the close but lands after the seal counts as dropped, so every put is
+written, overwritten or dropped, never lost.
 """
 
 from __future__ import annotations
@@ -55,10 +53,10 @@ class QueueStats:
 
 
 class _BoundedQueue:
-    """Deque of records, one lock, the close and the consumer's counters.
+    """Deque of records, one lock, the close, the seal and the counters.
 
-    Subclasses supply ``put`` and ``stats``. Every consumer step and the
-    close run under the lock; ``_not_full`` is a condition on it.
+    Subclasses supply ``put``. Every consumer step and the close run under
+    the lock; ``_not_full`` is a condition on it.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY, maxlen: int | None = None):
@@ -71,6 +69,7 @@ class _BoundedQueue:
         self.closed = False
         self._sealed = False
         self._dequeued = 0
+        self._overwritten = 0
         self._dropped = 0
 
     def close(self) -> None:
@@ -114,6 +113,15 @@ class _BoundedQueue:
                 self._not_full.notify_all()
             return batch
 
+    def stats(self) -> QueueStats:
+        with self._lock:
+            in_queue = len(self._q)
+            # enqueued froze at the seal; what landed since is dropped
+            late = in_queue if self._sealed else 0
+            return QueueStats(self._dequeued + self._overwritten + in_queue - late,
+                              self._dequeued, self._overwritten, self.capacity,
+                              self._dropped + late)
+
     def __len__(self) -> int:
         return len(self._q)
 
@@ -138,35 +146,22 @@ class BlockingLinkedQueue(_BoundedQueue):
             else:
                 q.append(record)
 
-    def stats(self) -> QueueStats:
-        with self._lock:
-            in_queue = len(self._q)
-            # enqueued froze at the seal; what landed since is dropped
-            late = in_queue if self._sealed else 0
-            return QueueStats(self._dequeued + in_queue - late, self._dequeued, 0,
-                              self.capacity, self._dropped + late)
-
 
 class SyncRingQueue(_BoundedQueue):
     """Circular FIFO; a full ring overwrites its oldest element."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         super().__init__(capacity, maxlen=capacity)
-        self._enqueued = 0
 
     def put(self, record) -> None:
         with self._lock:
             if self.closed:
                 self._dropped += 1
                 return
-            self._q.append(record)  # a full ring evicts its oldest
-            self._enqueued += 1
-
-    def stats(self) -> QueueStats:
-        with self._lock:
-            overwritten = self._enqueued - self._dequeued - len(self._q)
-            return QueueStats(self._enqueued, self._dequeued, overwritten,
-                              self.capacity, self._dropped)
+            q = self._q
+            if len(q) >= self.capacity:
+                self._overwritten += 1
+            q.append(record)
 
 
 def make_queue(kind: QueueKind, capacity: int = DEFAULT_CAPACITY):

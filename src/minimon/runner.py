@@ -297,9 +297,10 @@ def run_config(config: BenchmarkConfig, out_dir: str | Path,
     A crashing child, or one killed after ``child_timeout_s``, leaves its
     partial data in place, gets a ``metadata.json`` with ``failed: true``,
     and raises BenchmarkError; so does a finished run that ``report``
-    would refuse. :func:`plan` checks the one cell before any child starts.
+    would refuse. It runs the one cell :func:`plan` checks, so ``depth_key``,
+    when given, is the depth the children run at.
     """
-    plan([config], out_dir, None if depth_key is None else [depth_key])
+    (config,) = plan([config], out_dir, None if depth_key is None else [depth_key]).values()
     runs: list[list[int]] = []
     for run_index in range(config.runs):
         run_dir = Path(out_dir) / result_dir_name(config.config_id, depth_key) / f"run_{run_index}"

@@ -225,15 +225,18 @@ def test_capacity_validation():
         BlockingLinkedQueue(-1)
 
 
-@pytest.mark.parametrize("kind", list(QueueKind))
-def test_put_after_close_is_dropped(kind):
+@pytest.mark.parametrize("kind, puts",
+                         [(kind, 1) for kind in QueueKind] + [(QueueKind.SYNC_RING, 6)])
+def test_put_after_close_is_dropped(kind, puts):
+    """The refused put raises only ``dropped``: a full ring evicts nothing for it."""
     queue = make_queue(kind, 4)
-    queue.put(1)
+    for record in range(puts):
+        queue.put(record)
     queue.close()
-    queue.put(2)
+    queue.put(puts)
     stats = queue.stats()
-    assert (stats.enqueued, stats.dropped) == (1, 1)
-    assert [queue.take(), queue.take()] == [1, None]
+    assert (stats.enqueued, stats.overwritten, stats.dropped) == (puts, max(0, puts - 4), 1)
+    assert [*queue.drain(), queue.drain()] == [*range(puts)[-4:], None]
 
 
 def test_producer_blocked_on_full_queue_drops_on_close():

@@ -271,6 +271,13 @@ def test_run_config_refuses_runs_left_by_a_larger_earlier_run(tmp_path, no_child
         run_config(tiny_config(iterations=20, runs=2), tmp_path)
 
 
+def test_run_config_runs_at_its_depth_key(tmp_path):
+    sample_set = run_config(tiny_config(depth=3, iterations=20, runs=1), tmp_path, depth_key=2)
+    loaded, _ = load_sample_set(tmp_path / "tiny__d2")
+    assert sample_set.depth == loaded.depth == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["tiny__d2"]
+
+
 def test_load_sample_set_refuses_a_run_with_another_config(tmp_path):
     run_config(tiny_config(probe=ProbeKind.DIRECT_DURATION, iterations=20, runs=3), tmp_path)
     meta_path = tmp_path / "tiny" / "run_2" / "metadata.json"
